@@ -7,10 +7,14 @@
 // batch). This target derives per-stream observation sequences with
 // drift-inducing regime shifts, feeds the SAME sequences to three monitors
 // — sequential coarse batches, parallel fine batches, and one-tick
-// PushTick calls — and fails if SameEventLogs distinguishes any pair. It
-// also cross-checks RecheckWindows against from-scratch ks::Run on
-// mirrored windows, batch-rejection atomicity (a NaN batch must not
-// advance any tick), and the stats counters.
+// PushTick calls — and fails if SameEventLogs distinguishes any pair. A
+// second triple in kSketched reference mode (a minimum-capacity sketch, so
+// triage meets uncertain windows and takes the exact fallback) replays the
+// same feeds under the same contract. It also cross-checks RecheckWindows
+// against from-scratch ks::Run on mirrored windows, batch-rejection
+// atomicity (a NaN batch must not advance any tick), and the stats
+// counters. The sketched triple draws no input bytes of its own: one
+// decoding of an input drives both triples.
 
 #include <algorithm>
 #include <cmath>
@@ -35,6 +39,14 @@ DriftMonitor MakeMonitor(const MonitorOptions& options) {
   MOCHE_FUZZ_CHECK(monitor.ok(), "Create rejected valid options: %s",
                    monitor.status().message().c_str());
   return std::move(*monitor);
+}
+
+// `options` in kSketched mode at the smallest sketch capacity: references
+// of up to 24 points then compact, so triage brackets are wide.
+MonitorOptions WithSketch(MonitorOptions options) {
+  options.reference_mode = moche::stream::ReferenceMode::kSketched;
+  options.sketch_k = moche::sketch::KllSketch::kMinCapacity;
+  return options;
 }
 
 }  // namespace
@@ -63,6 +75,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   DriftMonitor coarse = MakeMonitor(sequential);
   DriftMonitor fine = MakeMonitor(parallel);
   DriftMonitor ticked = MakeMonitor(sequential);
+  MonitorOptions sketched_sequential = WithSketch(sequential);
+  DriftMonitor sketched_coarse = MakeMonitor(sketched_sequential);
+  DriftMonitor sketched_fine = MakeMonitor(WithSketch(parallel));
+  DriftMonitor sketched_ticked = MakeMonitor(sketched_sequential);
+  DriftMonitor* const all[] = {
+      &coarse, &fine, &ticked, &sketched_coarse, &sketched_fine,
+      &sketched_ticked};
 
   std::vector<std::vector<double>> references(streams);
   std::vector<size_t> window_sizes(streams);
@@ -70,7 +89,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     const size_t n = in.SizeInRange(4, 24);
     in.TiedArray(n, alphabet, &references[s]);
     window_sizes[s] = in.SizeInRange(2, 10);
-    for (DriftMonitor* monitor : {&coarse, &fine, &ticked}) {
+    for (DriftMonitor* monitor : all) {
       auto index = monitor->AddStream("s" + std::to_string(s), references[s],
                                       window_sizes[s]);
       MOCHE_FUZZ_CHECK(index.ok() && *index == s,
@@ -124,6 +143,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                       sequence[s].begin() + done_coarse + chunk);
     }
     MOCHE_FUZZ_CHECK(coarse.PushBatch(batch).ok(), "coarse PushBatch failed");
+    MOCHE_FUZZ_CHECK(sketched_coarse.PushBatch(batch).ok(),
+                     "sketched coarse PushBatch failed");
     done_coarse += chunk;
   }
   size_t done_fine = 0;
@@ -135,12 +156,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                       sequence[s].begin() + done_fine + chunk);
     }
     MOCHE_FUZZ_CHECK(fine.PushBatch(batch).ok(), "fine PushBatch failed");
+    MOCHE_FUZZ_CHECK(sketched_fine.PushBatch(batch).ok(),
+                     "sketched fine PushBatch failed");
     done_fine += chunk;
   }
   std::vector<double> tick_values(streams);
   for (size_t t = 0; t < ticks; ++t) {
     for (size_t s = 0; s < streams; ++s) tick_values[s] = sequence[s][t];
     MOCHE_FUZZ_CHECK(ticked.PushTick(tick_values).ok(), "PushTick failed");
+    MOCHE_FUZZ_CHECK(sketched_ticked.PushTick(tick_values).ok(),
+                     "sketched PushTick failed");
   }
 
   // The determinism contract: one event log, however the batches were cut
@@ -155,6 +180,37 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       "event log differs between batch and tick-at-a-time feeding "
       "(%zu vs %zu events)",
       coarse.events().size(), ticked.events().size());
+
+  MOCHE_FUZZ_CHECK(moche::stream::SameEventLogs(sketched_coarse.events(),
+                                                sketched_fine.events()),
+                   "sketched event log differs between sequential-coarse and "
+                   "parallel-fine (%zu vs %zu events)",
+                   sketched_coarse.events().size(),
+                   sketched_fine.events().size());
+  MOCHE_FUZZ_CHECK(moche::stream::SameEventLogs(sketched_coarse.events(),
+                                                sketched_ticked.events()),
+                   "sketched event log differs between batch and "
+                   "tick-at-a-time feeding (%zu vs %zu events)",
+                   sketched_coarse.events().size(),
+                   sketched_ticked.events().size());
+
+  // Every full-window sketched push was triaged exactly once.
+  uint64_t full_windows = 0;
+  for (size_t s = 0; s < streams; ++s) {
+    if (ticks >= window_sizes[s]) full_windows += ticks - window_sizes[s] + 1;
+  }
+  const DriftMonitor::Stats sketched_stats = sketched_coarse.stats();
+  MOCHE_FUZZ_CHECK(sketched_stats.triage_certified_pass +
+                           sketched_stats.triage_certified_fail +
+                           sketched_stats.triage_fallbacks ==
+                       full_windows,
+                   "sketched triage tallies miss full windows (%llu)",
+                   static_cast<unsigned long long>(full_windows));
+  MOCHE_FUZZ_CHECK(sketched_stats.explanations ==
+                       sketched_coarse.events().size(),
+                   "sketched stats.explanations %llu != %zu events",
+                   static_cast<unsigned long long>(sketched_stats.explanations),
+                   sketched_coarse.events().size());
 
   // Stats must account for every observation; each emitted event is one
   // explanation.

@@ -272,31 +272,6 @@ Status Moche::EvaluateBatchSketched(
   return Status::OK();
 }
 
-Result<MocheReport> Moche::ExplainSketched(
-    const sketch::SketchedReference& sketched,
-    const PreparedReference& exact, const std::vector<double>& test,
-    const PreferenceList& preference, sketch::SketchTriage* triage) const {
-  if (exact.sorted_reference().size() != sketched.count() ||
-      exact.alpha() != sketched.alpha()) {
-    return Status::InvalidArgument(
-        "sketched and exact references disagree on sample size or alpha; "
-        "ExplainSketched needs both built over the same reference");
-  }
-  ExplainWorkspace workspace;
-  sketch::SketchTriage local;
-  MOCHE_RETURN_IF_ERROR(
-      TriageSketchedInto(sketched, test, &workspace, &local));
-  if (triage != nullptr) *triage = local;
-  if (local.verdict == sketch::TriageVerdict::kCertainPass) {
-    return Status::AlreadyPasses(
-        "certified by the sketched reference: R and T pass the KS test");
-  }
-  MocheReport report;
-  MOCHE_RETURN_IF_ERROR(
-      ExplainPreparedInto(exact, test, preference, &workspace, &report));
-  return report;
-}
-
 Result<SizeSearchResult> Moche::FindExplanationSize(
     const std::vector<double>& reference, const std::vector<double>& test,
     double alpha) const {
@@ -310,12 +285,6 @@ Result<SizeSearchResult> Moche::FindExplanationSize(
                          CumulativeFrame::Build(reference, test));
   const BoundsEngine engine(frame, alpha);
   return SizeSearcher(engine).FindSize(options_.use_lower_bound);
-}
-
-Result<SizeSearchResult> Moche::FindExplanationSizePrepared(
-    const PreparedReference& prepared, const std::vector<double>& test) const {
-  ExplainWorkspace workspace;
-  return FindExplanationSizeInto(prepared, test, &workspace);
 }
 
 Result<SizeSearchResult> Moche::FindExplanationSizeInto(

@@ -183,15 +183,9 @@ class Moche {
 
   /// As FindExplanationSize, but reuses the prepared (already sorted)
   /// reference — only the test window is sorted and validated per call,
-  /// mirroring the Explain/ExplainPrepared pair. Same results as
-  /// FindExplanationSize on the same inputs.
-  Result<SizeSearchResult> FindExplanationSizePrepared(
-      const PreparedReference& prepared,
-      const std::vector<double>& test) const;
-
-  /// Zero-allocation-once-warm variant of FindExplanationSizePrepared,
-  /// running entirely inside `workspace` (SizeSearchResult itself is a
-  /// plain value and never allocates).
+  /// mirroring the Explain/ExplainPrepared pair — and runs entirely inside
+  /// `workspace`: zero allocation once warm (SizeSearchResult itself is a
+  /// plain value). Same results as FindExplanationSize on the same inputs.
   Result<SizeSearchResult> FindExplanationSizeInto(
       const PreparedReference& prepared, const std::vector<double>& test,
       ExplainWorkspace* workspace) const;
@@ -242,21 +236,6 @@ class Moche {
                                ExplainWorkspace* workspace,
                                std::vector<sketch::SketchTriage>* triages)
       const;
-
-  /// Sketch-gated explanation: triages first and short-circuits a
-  /// certified pass to AlreadyPasses WITHOUT touching the exact reference
-  /// — the common healthy-window case never pays O(n). Certified fails
-  /// and uncertain verdicts fall through to the exact ExplainPrepared
-  /// path on `exact`, which must be prepared over the same reference
-  /// sample and alpha the sketch summarizes (checked by count and alpha;
-  /// InvalidArgument on mismatch). When `triage` is non-null the verdict
-  /// is copied out either way. Reports on the fallthrough path are
-  /// bit-identical to ExplainPrepared.
-  Result<MocheReport> ExplainSketched(
-      const sketch::SketchedReference& sketched,
-      const PreparedReference& exact, const std::vector<double>& test,
-      const PreferenceList& preference,
-      sketch::SketchTriage* triage = nullptr) const;
 
   const MocheOptions& options() const { return options_; }
 

@@ -87,6 +87,13 @@ Status CollectFromSeries(const std::string& dataset_name,
   return Status::OK();
 }
 
+// Threads for one pool running `count` tasks: the num_threads knob capped
+// at the task count (an idle thread only costs its startup), and at least
+// one (a count of 0 must not read as ThreadPool's "one per core").
+size_t PoolThreads(size_t num_threads, size_t count) {
+  return std::max<size_t>(1, std::min(ResolveThreadCount(num_threads), count));
+}
+
 }  // namespace
 
 Result<std::vector<ExperimentInstance>> CollectFailedInstances(
@@ -95,7 +102,8 @@ Result<std::vector<ExperimentInstance>> CollectFailedInstances(
   std::vector<std::vector<ExperimentInstance>> per_series(num_series);
   std::vector<Status> statuses(num_series);
 
-  ParallelFor(options.num_threads, num_series, [&](size_t s) {
+  ThreadPool pool(PoolThreads(options.num_threads, num_series));
+  pool.ParallelFor(num_series, [&](size_t s) {
     statuses[s] = CollectFromSeries(dataset.name, dataset.series[s], s,
                                     options, &per_series[s]);
   });
@@ -125,12 +133,11 @@ std::vector<InstanceResults> RunMethods(
   // bounds/builder buffers) stop allocating once warm. Scratch only —
   // results are written per instance slot, so the output is independent of
   // which worker ran which instance.
-  std::vector<ExplainWorkspace> workspaces(
-      ParallelWorkerCount(options.num_threads, instances.size()));
+  ThreadPool pool(PoolThreads(options.num_threads, instances.size()));
+  std::vector<ExplainWorkspace> workspaces(pool.num_threads());
   // One task per instance; each task writes only results[i], so the merged
   // vector is in input order and identical to the sequential run.
-  ParallelForWorker(options.num_threads, instances.size(),
-                    [&](size_t worker, size_t i) {
+  pool.ParallelForWorker(instances.size(), [&](size_t worker, size_t i) {
     const ExperimentInstance& inst = instances[i];
     WallTimer task_timer;
     InstanceResults record;

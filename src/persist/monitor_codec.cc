@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "persist/snapshot.h"
@@ -252,23 +251,6 @@ Status ParseManifest(std::string_view bytes, Manifest* out) {
   return Status::OK();
 }
 
-// A stream parsed out of a shard, waiting for its global slot.
-struct RestoredStream {
-  std::string name;
-  std::optional<StreamingKs> detector;  // engaged exactly in kExact mode
-  std::shared_ptr<const PreparedReference> prepared;
-  std::shared_ptr<const sketch::SketchedReference> sketched;  // kSketched
-  std::vector<double> ring;  // kSketched window contents, oldest first
-  uint64_t window = 0;       // kSketched ring capacity
-  uint64_t ticks = 0;
-  bool in_excursion = false;
-  uint64_t pushes_since_explained = 0;
-  uint64_t drift_ticks = 0;
-  uint64_t triage_certified_pass = 0;
-  uint64_t triage_certified_fail = 0;
-  uint64_t triage_fallbacks = 0;
-};
-
 // One interned reference of a shard's reference table.
 struct RestoredReference {
   std::vector<double> original;
@@ -287,13 +269,18 @@ Status ExpectSection(SnapshotReader* reader, uint32_t id, const char* name,
   return Status::OK();
 }
 
-Status ParseShard(const std::string& bytes, uint32_t shard_index,
-                  const Manifest& manifest, double monitor_alpha,
-                  stream::PreparedReferenceCache* cache,
-                  std::vector<std::unique_ptr<RestoredStream>>* stream_slots,
-                  std::vector<DriftEvent>* events,
-                  std::vector<unsigned char>* event_seen) {
+}  // namespace
+
+std::string ShardFileName(uint32_t shard_index) {
+  return StrFormat("shard-%02u.snap", shard_index);
+}
+
+Status MonitorCodec::ParseShard(const std::string& bytes, uint32_t shard_index,
+                                uint32_t num_shards, DriftMonitor* monitor,
+                                std::vector<unsigned char>* stream_seen,
+                                std::vector<unsigned char>* event_seen) {
   const std::string what = ShardFileName(shard_index);
+  const MonitorOptions& options = monitor->options_;
   MOCHE_ASSIGN_OR_RETURN(SnapshotReader reader,
                          SnapshotReader::Open(bytes, what));
   SnapshotSection section;
@@ -303,15 +290,16 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
   {
     bin::Reader r(section.payload);
     uint32_t index = 0;
-    uint32_t num_shards = 0;
-    if (!r.ReadU32Le(&index) || !r.ReadU32Le(&num_shards) || !r.AtEnd()) {
+    uint32_t claimed_shards = 0;
+    if (!r.ReadU32Le(&index) || !r.ReadU32Le(&claimed_shards) ||
+        !r.AtEnd()) {
       return Status::OutOfRange(
           StrFormat("%s: shard header truncated", what.c_str()));
     }
-    if (index != shard_index || num_shards != manifest.num_shards) {
+    if (index != shard_index || claimed_shards != num_shards) {
       return Status::InvalidArgument(StrFormat(
           "%s: shard header claims shard %u of %u, expected %u of %u",
-          what.c_str(), index, num_shards, shard_index, manifest.num_shards));
+          what.c_str(), index, claimed_shards, shard_index, num_shards));
     }
   }
 
@@ -333,32 +321,34 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
             "%s: reference table truncated in entry %llu", what.c_str(),
             static_cast<unsigned long long>(i)));
       }
-      if (alpha != monitor_alpha) {
+      if (alpha != options.alpha) {
         return Status::InvalidArgument(StrFormat(
             "%s: reference %llu alpha does not match the monitor's",
             what.c_str(), static_cast<unsigned long long>(i)));
       }
       MOCHE_ASSIGN_OR_RETURN(PreparedReference prepared,
                              PreparedReference::DeserializeFrom(&r));
-      MOCHE_ASSIGN_OR_RETURN(
-          ref.prepared,
-          cache->InternRestored(ref.original, alpha, std::move(prepared)));
-      if (reader.version() >= 2 &&
-          manifest.options.reference_mode == ReferenceMode::kSketched) {
+      const bool with_sketch =
+          reader.version() >= 2 &&
+          options.reference_mode == ReferenceMode::kSketched;
+      if (with_sketch) {
         MOCHE_ASSIGN_OR_RETURN(sketch::SketchedReference sketched,
                                sketch::SketchedReference::DeserializeFrom(&r));
-        if (sketched.sketch_capacity() != manifest.options.sketch_k) {
+        if (sketched.sketch_capacity() != options.sketch_k) {
           return Status::InvalidArgument(StrFormat(
               "%s: reference %llu sketch capacity %zu does not match the "
               "manifest's sketch_k %zu",
               what.c_str(), static_cast<unsigned long long>(i),
-              sketched.sketch_capacity(), manifest.options.sketch_k));
+              sketched.sketch_capacity(), options.sketch_k));
         }
-        MOCHE_ASSIGN_OR_RETURN(
-            ref.sketched,
-            cache->InternRestoredSketched(ref.original, alpha,
-                                          std::move(sketched)));
+        ref.sketched = std::make_shared<const sketch::SketchedReference>(
+            std::move(sketched));
       }
+      MOCHE_ASSIGN_OR_RETURN(
+          ref.prepared,
+          monitor->cache_->InternRestored(
+              ref.original, alpha, std::move(prepared),
+              with_sketch ? &ref.sketched : nullptr));
       refs.push_back(std::move(ref));
     }
     if (!r.AtEnd()) {
@@ -392,13 +382,13 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
             "%s: stream table truncated in entry %llu", what.c_str(),
             static_cast<unsigned long long>(i)));
       }
-      if (index >= manifest.num_streams) {
+      if (index >= monitor->streams_.size()) {
         return Status::InvalidArgument(StrFormat(
-            "%s: stream index %llu out of range (checkpoint has %llu)",
+            "%s: stream index %llu out of range (checkpoint has %zu)",
             what.c_str(), static_cast<unsigned long long>(index),
-            static_cast<unsigned long long>(manifest.num_streams)));
+            monitor->streams_.size()));
       }
-      if ((*stream_slots)[static_cast<size_t>(index)] != nullptr) {
+      if ((*stream_seen)[static_cast<size_t>(index)]) {
         return Status::InvalidArgument(StrFormat(
             "%s: duplicate stream index %llu", what.c_str(),
             static_cast<unsigned long long>(index)));
@@ -410,23 +400,23 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
             static_cast<unsigned long long>(ref_index), refs.size()));
       }
       const RestoredReference& ref = refs[static_cast<size_t>(ref_index)];
-      auto restored = std::make_unique<RestoredStream>();
-      restored->name = std::move(name);
-      restored->prepared = ref.prepared;
-      restored->ticks = ticks;
-      restored->in_excursion = in_excursion != 0;
-      restored->pushes_since_explained = pushes;
-      restored->drift_ticks = drift_ticks;
+      DriftMonitor::Stream& st = monitor->streams_[static_cast<size_t>(index)];
+      st.name = std::move(name);
+      st.prepared = ref.prepared;
+      st.ticks = ticks;
+      st.in_excursion = in_excursion != 0;
+      st.pushes_since_explained = pushes;
+      st.drift_ticks = drift_ticks;
       if (reader.version() >= 2) {
-        if (!r.ReadU64Le(&restored->triage_certified_pass) ||
-            !r.ReadU64Le(&restored->triage_certified_fail) ||
-            !r.ReadU64Le(&restored->triage_fallbacks)) {
+        if (!r.ReadU64Le(&st.triage_certified_pass) ||
+            !r.ReadU64Le(&st.triage_certified_fail) ||
+            !r.ReadU64Le(&st.triage_fallbacks)) {
           return Status::OutOfRange(StrFormat(
               "%s: stream table truncated in entry %llu", what.c_str(),
               static_cast<unsigned long long>(i)));
         }
       }
-      if (manifest.options.reference_mode == ReferenceMode::kSketched) {
+      if (options.reference_mode == ReferenceMode::kSketched) {
         // A v1 *shard* carries no summaries; pairing one with a v2
         // kSketched manifest is a cross-file splice, not a valid restore.
         if (ref.sketched == nullptr) {
@@ -435,34 +425,37 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
               "manifest",
               what.c_str(), reader.version()));
         }
-        if (!r.ReadU64Le(&restored->window) ||
-            !r.ReadDoubleArray(&restored->ring)) {
+        uint64_t window = 0;
+        if (!r.ReadU64Le(&window) || !r.ReadDoubleArray(&st.ring)) {
           return Status::OutOfRange(StrFormat(
               "%s: stream table truncated in entry %llu", what.c_str(),
               static_cast<unsigned long long>(i)));
         }
-        if (restored->window == 0 ||
-            restored->ring.size() > restored->window) {
+        if (window == 0 || st.ring.size() > window) {
           return Status::InvalidArgument(StrFormat(
               "%s: stream %llu window ring holds %zu of capacity %llu",
               what.c_str(), static_cast<unsigned long long>(index),
-              restored->ring.size(),
-              static_cast<unsigned long long>(restored->window)));
+              st.ring.size(), static_cast<unsigned long long>(window)));
         }
-        if (!simd::ActiveKernels().all_finite(restored->ring.data(),
-                                              restored->ring.size())) {
+        if (!simd::ActiveKernels().all_finite(st.ring.data(),
+                                              st.ring.size())) {
           return Status::InvalidArgument(StrFormat(
               "%s: stream %llu window ring has non-finite values",
               what.c_str(), static_cast<unsigned long long>(index)));
         }
-        restored->sketched = ref.sketched;
+        // The ring restores at head 0 (oldest first); reserve() restores
+        // the full-capacity invariant AddStream establishes, so a not yet
+        // full ring keeps filling without reallocating.
+        st.window = static_cast<size_t>(window);
+        st.ring.reserve(st.window);
+        st.sketched = ref.sketched;
       } else {
         MOCHE_ASSIGN_OR_RETURN(
             StreamingKs detector,
             StreamingKs::DeserializeState(ref.original, &r));
-        restored->detector.emplace(std::move(detector));
+        st.detector.emplace(std::move(detector));
       }
-      (*stream_slots)[static_cast<size_t>(index)] = std::move(restored);
+      (*stream_seen)[static_cast<size_t>(index)] = 1;
     }
     if (!r.AtEnd()) {
       return Status::InvalidArgument(
@@ -490,24 +483,24 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
             "%s: event log truncated in entry %llu", what.c_str(),
             static_cast<unsigned long long>(i)));
       }
-      if (position >= manifest.num_events ||
+      if (position >= monitor->events_.size() ||
           (*event_seen)[static_cast<size_t>(position)]) {
         return Status::InvalidArgument(StrFormat(
             "%s: bad event log position %llu", what.c_str(),
             static_cast<unsigned long long>(position)));
       }
-      if (stream_index >= manifest.num_streams) {
+      if (stream_index >= monitor->streams_.size()) {
         return Status::InvalidArgument(StrFormat(
-            "%s: event names stream %llu of %llu", what.c_str(),
+            "%s: event names stream %llu of %zu", what.c_str(),
             static_cast<unsigned long long>(stream_index),
-            static_cast<unsigned long long>(manifest.num_streams)));
+            monitor->streams_.size()));
       }
       event.stream = static_cast<size_t>(stream_index);
       event.tick = tick;
       MOCHE_RETURN_IF_ERROR(ReadStatus(&r, what, &event.explain_status));
       MOCHE_RETURN_IF_ERROR(ReadReport(&r, what, &event.report));
       (*event_seen)[static_cast<size_t>(position)] = 1;
-      (*events)[static_cast<size_t>(position)] = std::move(event);
+      monitor->events_[static_cast<size_t>(position)] = std::move(event);
     }
     if (!r.AtEnd()) {
       return Status::InvalidArgument(
@@ -523,12 +516,6 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
         section.id));
   }
   return Status::OK();
-}
-
-}  // namespace
-
-std::string ShardFileName(uint32_t shard_index) {
-  return StrFormat("shard-%02u.snap", shard_index);
 }
 
 Result<CheckpointBlobs> MonitorCodec::Serialize(
@@ -691,19 +678,16 @@ Result<DriftMonitor> MonitorCodec::Deserialize(const CheckpointBlobs& blobs,
   MOCHE_ASSIGN_OR_RETURN(DriftMonitor monitor,
                          DriftMonitor::Create(monitor_options));
 
-  std::vector<std::unique_ptr<RestoredStream>> stream_slots(
-      static_cast<size_t>(manifest.num_streams));
-  std::vector<DriftEvent> events(static_cast<size_t>(manifest.num_events));
-  std::vector<unsigned char> event_seen(
-      static_cast<size_t>(manifest.num_events), 0);
+  monitor.streams_.resize(static_cast<size_t>(manifest.num_streams));
+  monitor.events_.resize(static_cast<size_t>(manifest.num_events));
+  std::vector<unsigned char> stream_seen(monitor.streams_.size(), 0);
+  std::vector<unsigned char> event_seen(monitor.events_.size(), 0);
   for (uint32_t s = 0; s < manifest.num_shards; ++s) {
-    MOCHE_RETURN_IF_ERROR(ParseShard(blobs.shards[s], s, manifest,
-                                     monitor_options.alpha,
-                                     monitor.cache_.get(), &stream_slots,
-                                     &events, &event_seen));
+    MOCHE_RETURN_IF_ERROR(ParseShard(blobs.shards[s], s, manifest.num_shards,
+                                     &monitor, &stream_seen, &event_seen));
   }
-  for (size_t i = 0; i < stream_slots.size(); ++i) {
-    if (stream_slots[i] == nullptr) {
+  for (size_t i = 0; i < stream_seen.size(); ++i) {
+    if (!stream_seen[i]) {
       return Status::InvalidArgument(
           StrFormat("stream %zu is missing from every shard", i));
     }
@@ -714,33 +698,6 @@ Result<DriftMonitor> MonitorCodec::Deserialize(const CheckpointBlobs& blobs,
           StrFormat("event %zu is missing from every shard", pos));
     }
   }
-
-  monitor.streams_.reserve(stream_slots.size());
-  for (std::unique_ptr<RestoredStream>& slot : stream_slots) {
-    DriftMonitor::Stream st;
-    st.name = std::move(slot->name);
-    st.detector = std::move(slot->detector);
-    st.prepared = std::move(slot->prepared);
-    st.sketched = std::move(slot->sketched);
-    st.window = static_cast<size_t>(slot->window);
-    if (st.window != 0) {
-      // Rebuild the ring at head 0 (oldest first). reserve() restores the
-      // full-capacity invariant AddStream establishes, so a not-yet-full
-      // ring keeps filling without reallocating.
-      st.ring = std::move(slot->ring);
-      st.ring.reserve(st.window);
-      st.ring_head = 0;
-    }
-    st.ticks = slot->ticks;
-    st.in_excursion = slot->in_excursion;
-    st.pushes_since_explained = slot->pushes_since_explained;
-    st.drift_ticks = slot->drift_ticks;
-    st.triage_certified_pass = slot->triage_certified_pass;
-    st.triage_certified_fail = slot->triage_certified_fail;
-    st.triage_fallbacks = slot->triage_fallbacks;
-    monitor.streams_.push_back(std::move(st));
-  }
-  monitor.events_ = std::move(events);
   monitor.explanations_total_ = manifest.explanations_total;
   return monitor;
 }

@@ -90,6 +90,18 @@ class MonitorCodec {
   /// — never UB, never a partially restored monitor.
   static Result<stream::DriftMonitor> Deserialize(
       const CheckpointBlobs& blobs, const RestoreOptions& options);
+
+ private:
+  /// Parses shard `shard_index` of a `num_shards`-shard checkpoint straight
+  /// into `monitor`, which Deserialize created from the manifest with its
+  /// stream and event slots pre-sized: references are interned in the
+  /// monitor's cache, and each stream and event lands in the slot its
+  /// global index names (marked in *stream_seen / *event_seen, so a slot
+  /// claimed twice is caught here and one never claimed by the caller).
+  static Status ParseShard(const std::string& bytes, uint32_t shard_index,
+                           uint32_t num_shards, stream::DriftMonitor* monitor,
+                           std::vector<unsigned char>* stream_seen,
+                           std::vector<unsigned char>* event_seen);
 };
 
 /// Serializes `monitor` into `dir` (created if absent): shard files first,

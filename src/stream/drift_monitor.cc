@@ -50,14 +50,16 @@ void DriftMonitor::Stream::WindowContentsInto(
               ring.begin() + static_cast<ptrdiff_t>(ring_head));
 }
 
-void DriftMonitor::Stream::PushRing(double v) {
+Status DriftMonitor::Stream::Push(double v) {
+  if (detector.has_value()) return detector->Push(v);
   if (ring.size() < window) {
     // Filling phase; AddStream reserved full capacity, so no reallocation.
     ring.push_back(v);
-    return;
+  } else {
+    ring[ring_head] = v;
+    ring_head = (ring_head + 1) % window;
   }
-  ring[ring_head] = v;
-  ring_head = (ring_head + 1) % window;
+  return Status::OK();
 }
 
 DriftMonitor::DriftMonitor(const MonitorOptions& options)
@@ -96,24 +98,14 @@ Result<DriftMonitor> DriftMonitor::Create(const MonitorOptions& options) {
 Result<size_t> DriftMonitor::AddStream(std::string name,
                                        const std::vector<double>& reference,
                                        size_t window_size) {
-  // Prepare first (validates the sample and interns the sorted reference).
-  // Both modes keep the exact interned form: sketched streams fall back to
-  // it for uncertain windows and every explanation runs against it.
-  MOCHE_ASSIGN_OR_RETURN(
-      std::shared_ptr<const PreparedReference> prepared,
-      cache_->GetOrPrepare(engine_, reference, options_.alpha));
+  // Stream-local checks run first, so a rejected stream interns nothing.
   Stream stream;
   stream.name = std::move(name);
-  stream.prepared = std::move(prepared);
-  if (options_.reference_mode == ReferenceMode::kSketched) {
+  const bool sketched = options_.reference_mode == ReferenceMode::kSketched;
+  if (sketched) {
     if (window_size == 0) {
       return Status::InvalidArgument("window_size must be >= 1");
     }
-    sketch::KllOptions kll;
-    kll.capacity = options_.sketch_k;
-    MOCHE_ASSIGN_OR_RETURN(
-        stream.sketched,
-        cache_->GetOrSketch(reference, options_.alpha, kll));
     stream.window = window_size;
     stream.ring.reserve(window_size);
   } else {
@@ -122,6 +114,15 @@ Result<size_t> DriftMonitor::AddStream(std::string name,
         StreamingKs::Create(reference, window_size, options_.alpha));
     stream.detector.emplace(std::move(detector));
   }
+  // Both modes keep the exact interned form: sketched streams fall back to
+  // it for uncertain windows and every explanation runs against it. A
+  // sketched stream's KLL summary is interned by the same lookup.
+  sketch::KllOptions kll;
+  kll.capacity = options_.sketch_k;
+  MOCHE_ASSIGN_OR_RETURN(
+      stream.prepared,
+      cache_->GetOrPrepare(engine_, reference, options_.alpha,
+                           sketched ? &stream.sketched : nullptr, kll));
   MutexLock lock(state_mutex_.get());
   streams_.push_back(std::move(stream));
   return streams_.size() - 1;
@@ -158,7 +159,7 @@ DriftEvent DriftMonitor::Explain(size_t worker, size_t i,
 
 Status DriftMonitor::ExactWindowOutcome(const Stream& s,
                                         WorkerScratch* scratch,
-                                        KsOutcome* outcome) {
+                                        std::optional<KsOutcome>* outcome) {
   WindowBatch batch;
   batch.data = scratch->window.data();
   batch.count = 1;
@@ -169,39 +170,45 @@ Status DriftMonitor::ExactWindowOutcome(const Stream& s,
   return Status::OK();
 }
 
-Status DriftMonitor::DrainStreamSketched(size_t worker, size_t i,
-                                         const std::vector<double>& values,
-                                         std::vector<DriftEvent>* out) {
-  Stream& s = streams_[i];
+Result<bool> DriftMonitor::JudgeWindow(size_t worker, Stream* s,
+                                       std::optional<KsOutcome>* outcome) {
+  if (s->detector.has_value()) {
+    // Validated at construction and the window is full: CurrentOutcome
+    // cannot fail.
+    MOCHE_ASSIGN_OR_RETURN(*outcome, s->detector->CurrentOutcome());
+    return (*outcome)->reject;
+  }
   WorkerScratch& scratch = ScratchFor(worker);
+  s->WindowContentsInto(&scratch.window);
+  sketch::SketchTriage triage;
+  MOCHE_RETURN_IF_ERROR(engine_.TriageSketchedInto(
+      *s->sketched, scratch.window, &scratch.workspace, &triage));
+  switch (triage.verdict) {
+    case sketch::TriageVerdict::kCertainPass:
+      ++s->triage_certified_pass;
+      return false;
+    case sketch::TriageVerdict::kCertainFail:
+      ++s->triage_certified_fail;
+      return true;
+    case sketch::TriageVerdict::kUncertain:
+      break;
+  }
+  ++s->triage_fallbacks;
+  MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(*s, &scratch, outcome));
+  return (*outcome)->reject;
+}
+
+Status DriftMonitor::DrainStream(size_t worker, size_t i,
+                                 const std::vector<double>& values,
+                                 std::vector<DriftEvent>* out) {
+  Stream& s = streams_[i];
   for (double v : values) {
-    s.PushRing(v);
+    MOCHE_RETURN_IF_ERROR(s.Push(v));
     ++s.ticks;
     if (!s.WindowFull()) continue;
-    s.WindowContentsInto(&scratch.window);
-    sketch::SketchTriage triage;
-    MOCHE_RETURN_IF_ERROR(engine_.TriageSketchedInto(
-        *s.sketched, scratch.window, &scratch.workspace, &triage));
-    bool reject = false;
-    bool have_outcome = false;
-    KsOutcome outcome;
-    switch (triage.verdict) {
-      case sketch::TriageVerdict::kCertainPass:
-        ++s.triage_certified_pass;
-        break;
-      case sketch::TriageVerdict::kCertainFail:
-        ++s.triage_certified_fail;
-        reject = true;
-        // The exact outcome is computed lazily below, only if this push
-        // actually fires an explanation.
-        break;
-      case sketch::TriageVerdict::kUncertain:
-        ++s.triage_fallbacks;
-        MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(s, &scratch, &outcome));
-        have_outcome = true;
-        reject = outcome.reject;
-        break;
-    }
+    std::optional<KsOutcome> outcome;
+    MOCHE_ASSIGN_OR_RETURN(const bool reject,
+                           JudgeWindow(worker, &s, &outcome));
     if (!reject) {
       s.in_excursion = false;
       continue;
@@ -214,52 +221,18 @@ Status DriftMonitor::DrainStreamSketched(size_t worker, size_t i,
     } else if (options_.rearm == RearmPolicy::kEveryKPushes) {
       fire = s.pushes_since_explained + 1 >= options_.explain_every_k;
     }
-    if (fire) {
-      if (!have_outcome) {
-        MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(s, &scratch, &outcome));
-      }
-      out->push_back(Explain(worker, i, outcome));
-      s.pushes_since_explained = 0;
-    } else {
+    if (!fire) {
       ++s.pushes_since_explained;
-    }
-  }
-  return Status::OK();
-}
-
-Status DriftMonitor::DrainStream(size_t worker, size_t i,
-                                 const std::vector<double>& values,
-                                 std::vector<DriftEvent>* out) {
-  Stream& s = streams_[i];
-  if (s.sketched != nullptr) {
-    return DrainStreamSketched(worker, i, values, out);
-  }
-  for (double v : values) {
-    MOCHE_RETURN_IF_ERROR(s.detector->Push(v));
-    ++s.ticks;
-    if (!s.detector->WindowFull()) continue;
-    // Validated at construction; the window is full — CurrentOutcome
-    // cannot fail.
-    auto outcome = s.detector->CurrentOutcome();
-    if (!outcome.ok()) return outcome.status();
-    if (!outcome->reject) {
-      s.in_excursion = false;
       continue;
     }
-    ++s.drift_ticks;
-    bool fire = false;
-    if (!s.in_excursion) {
-      s.in_excursion = true;
-      fire = true;
-    } else if (options_.rearm == RearmPolicy::kEveryKPushes) {
-      fire = s.pushes_since_explained + 1 >= options_.explain_every_k;
+    if (!outcome.has_value()) {
+      // A certified fail: the exact outcome is paid for only now that the
+      // push fires (JudgeWindow left the window in the worker's scratch).
+      MOCHE_RETURN_IF_ERROR(
+          ExactWindowOutcome(s, &ScratchFor(worker), &outcome));
     }
-    if (fire) {
-      out->push_back(Explain(worker, i, *outcome));
-      s.pushes_since_explained = 0;
-    } else {
-      ++s.pushes_since_explained;
-    }
+    out->push_back(Explain(worker, i, *outcome));
+    s.pushes_since_explained = 0;
   }
   return Status::OK();
 }

@@ -31,6 +31,11 @@
 // fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
 // well-separated data but not bit-contractual.
 //
+// One drain loop serves both modes. Per push, only the window verdict
+// depends on the mode (the detector's outcome, or triage with its lazy
+// exact fallback); the excursion and re-arm state machine that acts on
+// the verdict, and the explanation it fires, are shared.
+//
 // Determinism contract: stream i's events are produced by stream i's task
 // alone and merged in stream order after every batch, so the event log is
 // bit-identical to the sequential (num_threads = 1) run at any thread
@@ -288,8 +293,9 @@ class DriftMonitor {
     /// Copies the current window, oldest observation first, into *out
     /// (allocation-free once out's capacity is warm). Both modes.
     void WindowContentsInto(std::vector<double>* out) const;
-    /// kSketched only: admits one observation into the ring.
-    void PushRing(double v);
+    /// Admits one observation into the window: the detector in kExact
+    /// mode, the ring in kSketched mode.
+    Status Push(double v);
   };
 
   /// One worker thread's reusable explanation scratch: the MOCHE workspace
@@ -315,18 +321,23 @@ class DriftMonitor {
   explicit DriftMonitor(const MonitorOptions& options);
 
   /// Feeds `values` to stream i sequentially, appending events to `out`,
-  /// explaining through `worker`'s scratch. Returns the first push failure
-  /// (impossible after PushBatch's up-front validation short of an
-  /// internal bug). Dispatches per the stream's mode.
+  /// explaining through `worker`'s scratch: the one drain loop of both
+  /// reference modes. Each push is judged by JudgeWindow; the excursion
+  /// and re-arm decision that follows is mode-blind. Returns the first
+  /// push failure (impossible after PushBatch's up-front validation short
+  /// of an internal bug).
   Status DrainStream(size_t worker, size_t i,
                      const std::vector<double>& values,
                      std::vector<DriftEvent>* out);
 
-  /// kSketched drain: ring push, certified triage on the shared summary,
-  /// exact fallback only for uncertain windows and firing events.
-  Status DrainStreamSketched(size_t worker, size_t i,
-                             const std::vector<double>& values,
-                             std::vector<DriftEvent>* out);
+  /// The drain loop's only mode-specific step: whether stream s's full
+  /// window rejects. kExact asks the detector, which also yields the exact
+  /// outcome. kSketched triages the window on the shared summary and
+  /// counts the verdict; only an uncertain one pays for the exact outcome
+  /// here, while a certified fail leaves *outcome empty (and the window in
+  /// the worker's scratch) for DrainStream to fill if the push fires.
+  Result<bool> JudgeWindow(size_t worker, Stream* s,
+                           std::optional<KsOutcome>* outcome);
 
   /// Lazily creates (then returns) worker `worker`'s scratch slot.
   WorkerScratch& ScratchFor(size_t worker);
@@ -335,7 +346,7 @@ class DriftMonitor {
   /// against stream `s`'s interned PreparedReference (one-window
   /// EvaluateBatchPrepared; allocation-free once warm).
   Status ExactWindowOutcome(const Stream& s, WorkerScratch* scratch,
-                            KsOutcome* outcome);
+                            std::optional<KsOutcome>* outcome);
 
   /// Runs ExplainPreparedInto on stream i's current window, inside
   /// `worker`'s scratch.

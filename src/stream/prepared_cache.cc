@@ -33,6 +33,14 @@ inline uint64_t CanonicalDoubleBits(double v) {
   return bin::DoubleBits(v == 0.0 ? 0.0 : v);
 }
 
+// Moves a freshly built form into the shared, immutable handle the cache
+// interns.
+template <typename T>
+Result<std::shared_ptr<const T>> Share(Result<T> built) {
+  if (!built.ok()) return built.status();
+  return std::make_shared<const T>(std::move(built).value());
+}
+
 }  // namespace
 
 uint64_t ReferenceFingerprint(const std::vector<double>& values,
@@ -62,18 +70,6 @@ PreparedReferenceCache::Entry* PreparedReferenceCache::FindEntryLocked(
     }
   }
   return nullptr;
-}
-
-PreparedReferenceCache::Entry* PreparedReferenceCache::InsertEntryLocked(
-    uint64_t fingerprint, std::vector<double> reference, double alpha) {
-  EvictIfOverCapacityLocked();
-  std::vector<Entry>& bucket = entries_[fingerprint];
-  bucket.push_back(Entry{});
-  Entry& entry = bucket.back();
-  entry.original = std::move(reference);
-  entry.alpha = alpha;
-  entry.last_used = ++use_clock_;
-  return &entry;
 }
 
 size_t PreparedReferenceCache::CountEntriesLocked() const {
@@ -120,156 +116,113 @@ void PreparedReferenceCache::EvictIfOverCapacityLocked() {
   }
 }
 
-Result<std::shared_ptr<const PreparedReference>>
-PreparedReferenceCache::GetOrPrepare(const Moche& engine,
-                                     const std::vector<double>& reference,
-                                     double alpha) {
+Status PreparedReferenceCache::Intern(
+    const std::vector<double>& reference, double alpha, bool count_use,
+    size_t sketch_capacity, const Maker<PreparedReference>& make_prepared,
+    const Maker<sketch::SketchedReference>& make_sketched,
+    std::shared_ptr<const PreparedReference>* prepared,
+    std::shared_ptr<const sketch::SketchedReference>* sketched) {
   const uint64_t fingerprint = ReferenceFingerprint(reference, alpha);
-  {
-    MutexLock lock(&mutex_);
-    Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
-    if (entry != nullptr && entry->prepared != nullptr) {
-      ++hits_;
-      return entry->prepared;
-    }
-  }
-
-  // Prepare outside the lock: sorting a large reference must not serialize
-  // unrelated lookups. A racing same-key Prepare is benign — the second
-  // insert sees the first entry and adopts it.
-  auto prepared = engine.Prepare(reference, alpha);
-  if (!prepared.ok()) return prepared.status();
-  auto shared = std::make_shared<const PreparedReference>(
-      std::move(prepared).value());
-
   MutexLock lock(&mutex_);
   Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
-  if (entry != nullptr) {
-    if (entry->prepared != nullptr) {
-      ++hits_;
-      return entry->prepared;
-    }
-    // The entry exists with only a sketch (GetOrSketch came first): attach
-    // the exact form to the same entry.
-    ++misses_;
-    entry->prepared = shared;
-    return shared;
+  std::shared_ptr<const PreparedReference> exact =
+      entry != nullptr ? entry->prepared : nullptr;
+  std::shared_ptr<const sketch::SketchedReference> summary =
+      entry != nullptr ? entry->sketched : nullptr;
+  if (sketched != nullptr && summary != nullptr &&
+      summary->sketch_capacity() != sketch_capacity) {
+    return Status::InvalidArgument(StrFormat(
+        "reference already interned with sketch capacity %zu, not %zu",
+        summary->sketch_capacity(), sketch_capacity));
   }
-  ++misses_;
-  InsertEntryLocked(fingerprint, reference, alpha)->prepared = shared;
-  return shared;
+  const bool build_exact = prepared != nullptr && exact == nullptr;
+  const bool build_summary = sketched != nullptr && summary == nullptr;
+  if (build_exact) {
+    MOCHE_ASSIGN_OR_RETURN(exact, make_prepared());
+  }
+  if (build_summary) {
+    MOCHE_ASSIGN_OR_RETURN(summary, make_sketched());
+  }
+
+  if (entry == nullptr) {
+    EvictIfOverCapacityLocked();
+    std::vector<Entry>& bucket = entries_[fingerprint];
+    bucket.push_back(Entry{reference, alpha, nullptr, nullptr, ++use_clock_});
+    entry = &bucket.back();
+  }
+  if (prepared != nullptr) {
+    if (count_use) ++(build_exact ? misses_ : hits_);
+    entry->prepared = exact;
+    *prepared = std::move(exact);
+  }
+  if (sketched != nullptr) {
+    if (count_use) ++(build_summary ? misses_ : hits_);
+    entry->sketched = summary;
+    *sketched = std::move(summary);
+  }
+  return Status::OK();
+}
+
+Result<std::shared_ptr<const PreparedReference>>
+PreparedReferenceCache::GetOrPrepare(
+    const Moche& engine, const std::vector<double>& reference, double alpha,
+    std::shared_ptr<const sketch::SketchedReference>* sketched,
+    const sketch::KllOptions& kll) {
+  std::shared_ptr<const PreparedReference> prepared;
+  MOCHE_RETURN_IF_ERROR(Intern(
+      reference, alpha, /*count_use=*/true, kll.capacity,
+      [&] { return Share(engine.Prepare(reference, alpha)); },
+      [&] {
+        return Share(sketch::SketchedReference::FromSample(reference, alpha,
+                                                           kll));
+      },
+      &prepared, sketched));
+  return prepared;
 }
 
 Result<std::shared_ptr<const sketch::SketchedReference>>
 PreparedReferenceCache::GetOrSketch(const std::vector<double>& reference,
                                     double alpha,
                                     const sketch::KllOptions& options) {
-  const uint64_t fingerprint = ReferenceFingerprint(reference, alpha);
-  {
-    MutexLock lock(&mutex_);
-    Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
-    if (entry != nullptr && entry->sketched != nullptr) {
-      if (entry->sketched->sketch_capacity() != options.capacity) {
-        return Status::InvalidArgument(StrFormat(
-            "reference already interned with sketch capacity %zu, not %zu",
-            entry->sketched->sketch_capacity(), options.capacity));
-      }
-      ++hits_;
-      return entry->sketched;
-    }
-  }
-
-  // Build outside the lock (one O(n) pass over the sample), same rationale
-  // and same benign race as GetOrPrepare.
-  auto built = sketch::SketchedReference::FromSample(reference, alpha,
-                                                     options);
-  if (!built.ok()) return built.status();
-  auto shared = std::make_shared<const sketch::SketchedReference>(
-      std::move(built).value());
-
-  MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
-  if (entry != nullptr) {
-    if (entry->sketched != nullptr) {
-      if (entry->sketched->sketch_capacity() != options.capacity) {
-        return Status::InvalidArgument(StrFormat(
-            "reference already interned with sketch capacity %zu, not %zu",
-            entry->sketched->sketch_capacity(), options.capacity));
-      }
-      ++hits_;
-      return entry->sketched;
-    }
-    ++misses_;
-    entry->sketched = shared;
-    return shared;
-  }
-  ++misses_;
-  InsertEntryLocked(fingerprint, reference, alpha)->sketched = shared;
-  return shared;
+  std::shared_ptr<const sketch::SketchedReference> sketched;
+  MOCHE_RETURN_IF_ERROR(Intern(
+      reference, alpha, /*count_use=*/true, options.capacity, nullptr,
+      [&] {
+        return Share(sketch::SketchedReference::FromSample(reference, alpha,
+                                                           options));
+      },
+      nullptr, &sketched));
+  return sketched;
 }
 
 Result<std::shared_ptr<const PreparedReference>>
-PreparedReferenceCache::InternRestored(std::vector<double> original,
-                                       double alpha,
-                                       PreparedReference prepared) {
+PreparedReferenceCache::InternRestored(
+    const std::vector<double>& original, double alpha,
+    PreparedReference prepared,
+    std::shared_ptr<const sketch::SketchedReference>* sketched) {
   // A CRC-clean snapshot can still pair sections wrongly (a hand-spliced
   // file); cheap consistency checks keep such a splice from planting an
-  // entry whose prepared reference disagrees with its key.
-  if (prepared.alpha() != alpha) {
+  // entry whose restored forms disagree with their key.
+  if (prepared.alpha() != alpha ||
+      (sketched != nullptr && (*sketched)->alpha() != alpha)) {
     return Status::InvalidArgument(
-        "restored prepared reference alpha does not match its cache key");
+        "restored reference alpha does not match its cache key");
   }
-  if (prepared.sorted_reference().size() != original.size()) {
+  if (prepared.sorted_reference().size() != original.size() ||
+      (sketched != nullptr && (*sketched)->count() != original.size())) {
     return Status::InvalidArgument(
-        "restored prepared reference size does not match its cache key");
+        "restored reference size does not match its cache key");
   }
-  const uint64_t fingerprint = ReferenceFingerprint(original, alpha);
-  MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, original, alpha);
-  if (entry != nullptr) {
-    if (entry->prepared != nullptr) return entry->prepared;
-    entry->prepared =
-        std::make_shared<const PreparedReference>(std::move(prepared));
-    return entry->prepared;
-  }
-  entry = InsertEntryLocked(fingerprint, std::move(original), alpha);
-  entry->prepared =
-      std::make_shared<const PreparedReference>(std::move(prepared));
-  return entry->prepared;
-}
-
-Result<std::shared_ptr<const sketch::SketchedReference>>
-PreparedReferenceCache::InternRestoredSketched(
-    std::vector<double> original, double alpha,
-    sketch::SketchedReference sketched) {
-  if (sketched.alpha() != alpha) {
-    return Status::InvalidArgument(
-        "restored sketched reference alpha does not match its cache key");
-  }
-  if (sketched.count() != original.size()) {
-    return Status::InvalidArgument(
-        "restored sketched reference count does not match its cache key");
-  }
-  const uint64_t fingerprint = ReferenceFingerprint(original, alpha);
-  MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, original, alpha);
-  if (entry != nullptr) {
-    if (entry->sketched != nullptr) {
-      if (entry->sketched->sketch_capacity() != sketched.sketch_capacity()) {
-        return Status::InvalidArgument(
-            "restored sketched reference capacity disagrees with the "
-            "interned summary for the same key");
-      }
-      return entry->sketched;
-    }
-    entry->sketched = std::make_shared<const sketch::SketchedReference>(
-        std::move(sketched));
-    return entry->sketched;
-  }
-  entry = InsertEntryLocked(fingerprint, std::move(original), alpha);
-  entry->sketched = std::make_shared<const sketch::SketchedReference>(
-      std::move(sketched));
-  return entry->sketched;
+  std::shared_ptr<const PreparedReference> interned;
+  MOCHE_RETURN_IF_ERROR(Intern(
+      original, alpha, /*count_use=*/false,
+      sketched != nullptr ? (*sketched)->sketch_capacity() : 0,
+      [&] { return Share(Result<PreparedReference>(std::move(prepared))); },
+      [&]() -> Result<std::shared_ptr<const sketch::SketchedReference>> {
+        return *sketched;  // adopted as is: the summary is already shared
+      },
+      &interned, sketched));
+  return interned;
 }
 
 bool PreparedReferenceCache::FindOriginal(const PreparedReference* prepared,

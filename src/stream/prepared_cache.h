@@ -10,6 +10,12 @@
 // reference's KLL summary (sketch::SketchedReference) for the monitor's
 // sketched mode — built lazily by GetOrSketch, one summary per entry.
 //
+// Every entry point — live interning of either form, both forms at once,
+// and restores from a snapshot — runs one find-or-insert routine: one
+// fingerprint, one exact key comparison, then each requested form is
+// served from the entry or built and attached. Forms are built before the
+// table is touched, so a call that fails interns nothing.
+//
 // Keying is by the byte-identical value sequence: two permutations of the
 // same sample intern separately (fingerprinting must not sort — that is
 // the cost being amortized). A fingerprint collision is resolved by an
@@ -27,12 +33,15 @@
 // Ownership & thread-safety: the cache owns its entries and shares the
 // references out via shared_ptr-to-const; all internal state is guarded by
 // one Mutex, so every entry point is safe from any thread (see the class
-// comment).
+// comment). Forms are built under that mutex: concurrent first sights of
+// large references serialize, and in exchange no two callers ever build
+// the same form twice.
 
 #ifndef MOCHE_STREAM_PREPARED_CACHE_H_
 #define MOCHE_STREAM_PREPARED_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -88,9 +97,16 @@ class PreparedReferenceCache {
 
   /// Returns the interned PreparedReference for (reference, alpha),
   /// preparing (validate + sort) only on the first sight of the sequence.
-  /// InvalidArgument on an empty/non-finite sample or out-of-domain alpha.
+  /// When `sketched` is non-null the same lookup also interns the
+  /// reference's KLL summary at `kll`'s capacity into *sketched, exactly
+  /// as GetOrSketch would: a caller that needs both forms (a sketched
+  /// monitor stream) pays one fingerprint and one key comparison.
+  /// InvalidArgument on an empty/non-finite sample, an out-of-domain alpha
+  /// or a sketch capacity mismatch; a failed call interns nothing.
   Result<std::shared_ptr<const PreparedReference>> GetOrPrepare(
-      const Moche& engine, const std::vector<double>& reference, double alpha);
+      const Moche& engine, const std::vector<double>& reference, double alpha,
+      std::shared_ptr<const sketch::SketchedReference>* sketched = nullptr,
+      const sketch::KllOptions& kll = {});
 
   /// Returns the interned KLL summary for (reference, alpha), building it
   /// (validate + sketch + flatten) only on the first sight. The summary
@@ -108,22 +124,18 @@ class PreparedReferenceCache {
   /// re-sort are involved. If (original, alpha) is already interned the
   /// existing shared entry is returned and `prepared` is dropped — streams
   /// restored from different shards still converge on one PreparedReference
-  /// per distinct reference, exactly as live interning would. Restores
-  /// count toward neither hits nor misses. InvalidArgument when `prepared`
-  /// is inconsistent with (original, alpha) — wrong alpha, or a sample that
-  /// is not a permutation-by-size of `original` (a cross-section splice in
-  /// an otherwise CRC-clean snapshot).
+  /// per distinct reference, exactly as live interning would. When
+  /// `sketched` is non-null, *sketched holds the deserialized KLL summary
+  /// of the same key; it is interned the same way and *sketched is
+  /// replaced by the interned summary. Restores count toward neither hits
+  /// nor misses. InvalidArgument when a restored form is inconsistent with
+  /// (original, alpha) — wrong alpha, a sample size or count that does not
+  /// match `original` (a cross-section splice in an otherwise CRC-clean
+  /// snapshot), or a sketch capacity disagreeing with the interned one.
   Result<std::shared_ptr<const PreparedReference>> InternRestored(
-      std::vector<double> original, double alpha, PreparedReference prepared);
-
-  /// Sketched counterpart of InternRestored: interns a deserialized KLL
-  /// summary under (original, alpha). InvalidArgument when the summary is
-  /// inconsistent with its key — wrong alpha, a count that does not match
-  /// the key sequence's size, or a capacity disagreeing with an already
-  /// interned summary for the same key.
-  Result<std::shared_ptr<const sketch::SketchedReference>>
-  InternRestoredSketched(std::vector<double> original, double alpha,
-                         sketch::SketchedReference sketched);
+      const std::vector<double>& original, double alpha,
+      PreparedReference prepared,
+      std::shared_ptr<const sketch::SketchedReference>* sketched = nullptr);
 
   /// Reverse lookup for checkpointing: finds the interned entry whose
   /// shared PreparedReference is exactly `prepared` (pointer identity) and
@@ -144,16 +156,29 @@ class PreparedReferenceCache {
     uint64_t last_used = 0;  // LRU stamp (monotone use counter)
   };
 
+  /// Builds one form of an entry; called only for a form the entry lacks.
+  template <typename T>
+  using Maker = std::function<Result<std::shared_ptr<const T>>()>;
+
+  /// The one find-or-insert path behind every public entry point. A form
+  /// is requested by a non-null out-pointer. Under the lock, one
+  /// fingerprint lookup and one key comparison find (reference, alpha)'s
+  /// entry; each requested form the entry holds is served from it (a hit),
+  /// each missing one comes from its maker (a miss). The makers run before
+  /// the table is touched, so a failed build interns nothing and counts
+  /// nothing. `sketch_capacity` is the capacity a requested summary must
+  /// have; `count_use` false (restores) keeps hits and misses unchanged.
+  Status Intern(const std::vector<double>& reference, double alpha,
+                bool count_use, size_t sketch_capacity,
+                const Maker<PreparedReference>& make_prepared,
+                const Maker<sketch::SketchedReference>& make_sketched,
+                std::shared_ptr<const PreparedReference>* prepared,
+                std::shared_ptr<const sketch::SketchedReference>* sketched);
+
   /// Finds the bucket entry matching (alpha, reference) exactly, stamping
   /// it as used. Null when absent.
   Entry* FindEntryLocked(uint64_t fingerprint,
                          const std::vector<double>& reference, double alpha)
-      MOCHE_REQUIRES(mutex_);
-
-  /// Inserts a fresh entry for (reference, alpha) and applies the LRU
-  /// bound. Returns the inserted entry (valid until the next mutation).
-  Entry* InsertEntryLocked(uint64_t fingerprint,
-                           std::vector<double> reference, double alpha)
       MOCHE_REQUIRES(mutex_);
 
   void EvictIfOverCapacityLocked() MOCHE_REQUIRES(mutex_);

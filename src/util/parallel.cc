@@ -1,7 +1,5 @@
 #include "util/parallel.h"
 
-#include <algorithm>
-
 namespace moche {
 
 size_t HardwareConcurrency() {
@@ -105,34 +103,6 @@ void ThreadPool::WorkerLoop(size_t worker) {
     }
     if (job != nullptr) Drain(*job, worker);
   }
-}
-
-void ParallelFor(size_t num_threads, size_t count,
-                 const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  const size_t threads = ParallelWorkerCount(num_threads, count);
-  if (threads <= 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(threads);
-  pool.ParallelFor(count, fn);
-}
-
-void ParallelForWorker(size_t num_threads, size_t count,
-                       const std::function<void(size_t, size_t)>& fn) {
-  if (count == 0) return;
-  const size_t threads = ParallelWorkerCount(num_threads, count);
-  if (threads <= 1) {
-    for (size_t i = 0; i < count; ++i) fn(0, i);
-    return;
-  }
-  ThreadPool pool(threads);
-  pool.ParallelForWorker(count, fn);
-}
-
-size_t ParallelWorkerCount(size_t num_threads, size_t count) {
-  return std::min(ResolveThreadCount(num_threads), count);
 }
 
 }  // namespace moche

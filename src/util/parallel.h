@@ -124,23 +124,6 @@ class ThreadPool {
   std::shared_ptr<internal::ParallelJob> job_ MOCHE_GUARDED_BY(mutex_);
 };
 
-/// One-shot convenience: runs fn(i) for i in [0, count) on a temporary pool
-/// of ResolveThreadCount(num_threads) threads (capped at count). Prefer a
-/// long-lived ThreadPool when calling in a loop.
-void ParallelFor(size_t num_threads, size_t count,
-                 const std::function<void(size_t)>& fn);
-
-/// One-shot worker-indexed convenience: as the member ParallelForWorker on
-/// a temporary pool. fn's worker argument is < ParallelWorkerCount(
-/// num_threads, count).
-void ParallelForWorker(size_t num_threads, size_t count,
-                       const std::function<void(size_t, size_t)>& fn);
-
-/// The number of distinct worker indices the free ParallelFor/
-/// ParallelForWorker functions use for a (num_threads, count) pair — the
-/// size a caller's per-worker scratch pool needs.
-size_t ParallelWorkerCount(size_t num_threads, size_t count);
-
 }  // namespace moche
 
 #endif  // MOCHE_UTIL_PARALLEL_H_

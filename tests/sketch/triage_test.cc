@@ -155,52 +155,6 @@ TEST(SketchTriageTest, BatchedTriageMatchesPerWindowTriage) {
           .ok());
 }
 
-TEST(SketchTriageTest, ExplainSketchedShortCircuitsCertifiedPasses) {
-  Rng rng(107);
-  const double alpha = 0.05;
-  std::vector<double> reference;
-  for (int i = 0; i < 3000; ++i) reference.push_back(rng.Normal(0.0, 1.0));
-  const Moche engine{MocheOptions{}};
-  const SketchedReference sketched = MakeSketched(reference, alpha, 256);
-  auto prepared = engine.Prepare(reference, alpha);
-  ASSERT_TRUE(prepared.ok());
-
-  // An aligned window: certified pass short-circuits to AlreadyPasses.
-  std::vector<double> healthy;
-  for (int i = 0; i < 120; ++i) healthy.push_back(rng.Normal(0.0, 1.0));
-  PreferenceList pref;
-  IdentityPreferenceInto(healthy.size(), &pref);
-  SketchTriage triage;
-  auto report =
-      engine.ExplainSketched(sketched, *prepared, healthy, pref, &triage);
-  ASSERT_EQ(triage.verdict, TriageVerdict::kCertainPass);
-  EXPECT_TRUE(report.status().IsAlreadyPasses());
-
-  // A far-drifted window falls through to the exact path and the report is
-  // bit-identical to calling ExplainPrepared directly.
-  std::vector<double> drifted;
-  for (int i = 0; i < 120; ++i) drifted.push_back(rng.Normal(4.0, 1.0));
-  IdentityPreferenceInto(drifted.size(), &pref);
-  auto via_sketch =
-      engine.ExplainSketched(sketched, *prepared, drifted, pref, &triage);
-  ASSERT_TRUE(via_sketch.ok()) << via_sketch.status().message();
-  EXPECT_EQ(triage.verdict, TriageVerdict::kCertainFail);
-  auto via_exact = engine.ExplainPrepared(*prepared, drifted, pref);
-  ASSERT_TRUE(via_exact.ok());
-  EXPECT_EQ(via_sketch->k, via_exact->k);
-  EXPECT_EQ(via_sketch->explanation.indices, via_exact->explanation.indices);
-  EXPECT_EQ(via_sketch->original.statistic, via_exact->original.statistic);
-
-  // A sketch/exact pair summarizing different references is rejected.
-  std::vector<double> other = reference;
-  other.push_back(0.0);
-  auto other_prepared = engine.Prepare(other, alpha);
-  ASSERT_TRUE(other_prepared.ok());
-  EXPECT_FALSE(
-      engine.ExplainSketched(sketched, *other_prepared, drifted, pref)
-          .ok());
-}
-
 TEST(SketchTriageTest, SerializeRoundTripPreservesTriage) {
   Rng rng(109);
   const double alpha = 0.02;

@@ -282,38 +282,52 @@ TEST(PreparedReferenceCacheTest, SketchSharesTheEntryOfTheExactForm) {
             2 * ref.size() * sizeof(double));
 }
 
-TEST(PreparedReferenceCacheTest, InternRestoredSketchedChecksConsistency) {
+TEST(PreparedReferenceCacheTest, InternRestoredChecksSketchConsistency) {
+  Moche engine;
   PreparedReferenceCache cache;
-  std::vector<double> ref{5.0, 1.0, 3.0, 2.0, 4.0};
+  const std::vector<double> ref{5.0, 1.0, 3.0, 2.0, 4.0};
   sketch::KllOptions kll;
   kll.capacity = 32;
   auto built = sketch::SketchedReference::FromSample(ref, 0.05, kll);
   ASSERT_TRUE(built.ok());
+  // Restores `summary` beside an exact form prepared over (key, alpha), so
+  // only the summary can disagree with the key.
+  const auto restore = [&](const std::vector<double>& key, double alpha,
+                           const sketch::SketchedReference& summary,
+                           std::shared_ptr<const sketch::SketchedReference>*
+                               sketched) {
+    auto prepared = engine.Prepare(key, alpha);
+    EXPECT_TRUE(prepared.ok());
+    *sketched = std::make_shared<const sketch::SketchedReference>(summary);
+    return cache.InternRestored(key, alpha, *prepared, sketched);
+  };
 
   // Splice guards: a summary whose alpha or count disagrees with its cache
   // key is rejected before it can shadow the real reference.
-  auto wrong_alpha = cache.InternRestoredSketched(ref, 0.01, *built);
-  EXPECT_FALSE(wrong_alpha.ok());
-  auto wrong_size =
-      cache.InternRestoredSketched({1.0, 2.0}, 0.05, *built);
-  EXPECT_FALSE(wrong_size.ok());
+  std::shared_ptr<const sketch::SketchedReference> sketched;
+  EXPECT_FALSE(restore(ref, 0.01, *built, &sketched).ok());
+  EXPECT_FALSE(restore({1.0, 2.0}, 0.05, *built, &sketched).ok());
   EXPECT_EQ(cache.stats().entries, 0u);
 
-  auto interned = cache.InternRestoredSketched(ref, 0.05, *built);
+  auto interned = restore(ref, 0.05, *built, &sketched);
   ASSERT_TRUE(interned.ok()) << interned.status().message();
+  const sketch::SketchedReference* first = sketched.get();
   EXPECT_EQ(cache.stats().entries, 1u);
 
-  // A second shard restoring the same key converges on the interned object.
-  auto converged = cache.InternRestoredSketched(ref, 0.05, *built);
+  // A second shard restoring the same key converges on the interned
+  // objects, both forms.
+  auto converged = restore(ref, 0.05, *built, &sketched);
   ASSERT_TRUE(converged.ok());
   EXPECT_EQ(converged->get(), interned->get());
+  EXPECT_EQ(sketched.get(), first);
   EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 
   // ...unless its capacity disagrees with what is already interned.
   kll.capacity = 64;
   auto other = sketch::SketchedReference::FromSample(ref, 0.05, kll);
   ASSERT_TRUE(other.ok());
-  EXPECT_FALSE(cache.InternRestoredSketched(ref, 0.05, *other).ok());
+  EXPECT_FALSE(restore(ref, 0.05, *other, &sketched).ok());
 }
 
 TEST(PreparedReferenceCacheTest, ConcurrentGetOrPrepareIsSafe) {

@@ -21,8 +21,8 @@ TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
     const size_t count = 1000;
     std::vector<std::atomic<int>> hits(count);
     for (auto& h : hits) h.store(0);
-    ParallelFor(threads, count,
-                [&hits](size_t i) { hits[i].fetch_add(1); });
+    ThreadPool pool(threads);
+    pool.ParallelFor(count, [&hits](size_t i) { hits[i].fetch_add(1); });
     for (size_t i = 0; i < count; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " with " << threads
                                    << " threads";
@@ -31,10 +31,11 @@ TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(ParallelForTest, ZeroAndOneTaskCounts) {
+  ThreadPool pool(4);
   int calls = 0;
-  ParallelFor(4, 0, [&calls](size_t) { ++calls; });
+  pool.ParallelFor(0, [&calls](size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  ParallelFor(4, 1, [&calls](size_t i) {
+  pool.ParallelFor(1, [&calls](size_t i) {
     EXPECT_EQ(i, 0u);
     ++calls;
   });
@@ -46,7 +47,8 @@ TEST(ParallelForTest, SlotWritesMergeInInputOrder) {
   // so the merged output is identical to the sequential loop.
   const size_t count = 257;
   std::vector<size_t> out(count, 0);
-  ParallelFor(8, count, [&out](size_t i) { out[i] = i * i; });
+  ThreadPool pool(8);
+  pool.ParallelFor(count, [&out](size_t i) { out[i] = i * i; });
   for (size_t i = 0; i < count; ++i) {
     ASSERT_EQ(out[i], i * i);
   }
@@ -121,20 +123,6 @@ TEST(ParallelForWorkerTest, InlinePathsUseWorkerZero) {
     seen_worker = worker;
   });
   EXPECT_EQ(seen_worker, 0u);
-}
-
-TEST(ParallelForWorkerTest, FreeFunctionMatchesWorkerCountHelper) {
-  const size_t count = 40;
-  EXPECT_EQ(ParallelWorkerCount(1, count), 1u);
-  EXPECT_EQ(ParallelWorkerCount(4, count), 4u);
-  EXPECT_EQ(ParallelWorkerCount(64, count), count);
-  std::vector<std::atomic<size_t>> worker_of(count);
-  ParallelForWorker(4, count, [&](size_t worker, size_t i) {
-    worker_of[i].store(worker);
-  });
-  for (size_t i = 0; i < count; ++i) {
-    ASSERT_LT(worker_of[i].load(), ParallelWorkerCount(4, count));
-  }
 }
 
 TEST(ThreadPoolTest, UnevenTaskDurationsStillCoverAllIndices) {
