@@ -41,6 +41,33 @@ uint64_t TrueRank(const std::vector<double>& sorted, double x) {
       std::upper_bound(sorted.begin(), sorted.end(), x) - sorted.begin());
 }
 
+// Naive D_sketch: at every point x of the union grid, count the summary
+// points and test points <= x from scratch. Computes the same G = cw / n,
+// F_T = j / m and |G - F_T| doubles as the production endpoint sweep, in
+// O((summary + m)^2), so the two must agree bit for bit.
+double NaiveSketchStatistic(const SketchedReference& sketched,
+                            const std::vector<double>& test_sorted) {
+  std::vector<double> values;
+  std::vector<double> cumulative_weights;
+  sketched.sketch().FlattenTo(&values, &cumulative_weights);
+  const double n = static_cast<double>(sketched.count());
+  const double m = static_cast<double>(test_sorted.size());
+  std::vector<double> grid = values;
+  grid.insert(grid.end(), test_sorted.begin(), test_sorted.end());
+  double d = 0.0;
+  for (double x : grid) {
+    size_t i = 0;
+    for (double v : values) i += v <= x;
+    size_t j = 0;
+    for (double t : test_sorted) j += t <= x;
+    const double g = (i > 0 ? cumulative_weights[i - 1] : 0.0) / n;
+    const double ft = static_cast<double>(j) / m;
+    const double diff = g > ft ? g - ft : ft - g;
+    if (diff > d) d = diff;
+  }
+  return d;
+}
+
 void CheckCertifiedBound(const KllSketch& sketch,
                          const std::vector<double>& sorted,
                          const char* what) {
@@ -184,6 +211,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::sort(window_sorted.begin(), window_sorted.end());
 
   const double statistic = sketched->StatisticAgainstSorted(window_sorted);
+  const double naive = NaiveSketchStatistic(*sketched, window_sorted);
+  MOCHE_FUZZ_CHECK(moche::bin::DoubleBits(statistic) ==
+                       moche::bin::DoubleBits(naive),
+                   "endpoint sweep %.17g differs from the naive sweep %.17g",
+                   statistic, naive);
   const SketchTriage triage = sketched->Classify(statistic, m);
   auto exact = moche::ks::Run(sample, window, alpha);
   MOCHE_FUZZ_CHECK(exact.ok(), "exact ks::Run failed: %s",

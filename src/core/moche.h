@@ -221,7 +221,8 @@ class Moche {
   /// Zero-allocation-once-warm variant of TriageSketched: the test window
   /// is sorted into `workspace` and the verdict written to `*triage`
   /// (meaningful only when the returned Status is OK). The stream
-  /// monitor's sketched mode runs this per push.
+  /// monitor's sketched mode skips the sort: it keeps each window sorted
+  /// as it slides and calls the sweep and Classify directly.
   Status TriageSketchedInto(const sketch::SketchedReference& sketched,
                             const std::vector<double>& test,
                             ExplainWorkspace* workspace,

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -443,11 +444,15 @@ Status MonitorCodec::ParseShard(const std::string& bytes, uint32_t shard_index,
               "%s: stream %llu window ring has non-finite values",
               what.c_str(), static_cast<unsigned long long>(index)));
         }
-        // The ring restores at head 0 (oldest first); reserve() restores
-        // the full-capacity invariant AddStream establishes, so a not yet
-        // full ring keeps filling without reallocating.
+        // The ring restores at head 0 (oldest first). Nothing is reserved
+        // beyond what the ring holds: `window` is only checked to be at
+        // least that, so a hostile capacity must not size an allocation;
+        // a partly filled ring grows on demand instead. The sorted window
+        // is derived state, rebuilt here rather than stored.
         st.window = static_cast<size_t>(window);
-        st.ring.reserve(st.window);
+        st.sorted = st.ring;
+        // moche-lint: allow(sort-doubles): all_finite screened the ring
+        std::sort(st.sorted.begin(), st.sorted.end());
         st.sketched = ref.sketched;
       } else {
         MOCHE_ASSIGN_OR_RETURN(

@@ -17,8 +17,11 @@ Result<SketchedReference> SketchedReference::Build(KllSketch sketch,
   SketchedReference reference;
   reference.sketch_ = std::move(sketch);
   reference.alpha_ = alpha;
-  reference.sketch_.FlattenTo(&reference.values_,
-                              &reference.cumulative_weights_);
+  reference.sketch_.FlattenTo(&reference.values_, &reference.ecdf_);
+  // Cumulative weights -> G: the one division per summary point, done here
+  // so the sweep divides nothing on this side.
+  const double n = static_cast<double>(reference.count());
+  for (double& g : reference.ecdf_) g /= n;
   return reference;
 }
 
@@ -33,30 +36,33 @@ Result<SketchedReference> SketchedReference::FromSample(
 
 double SketchedReference::StatisticAgainstSorted(
     const std::vector<double>& test_sorted) const {
-  // Merged sweep over the union grid, mirroring ks::StatisticSorted: both
-  // step functions are constant between grid points, so the sup is
-  // attained immediately after some grid point's jump. values_ is
-  // strictly ascending (ties merged at flatten time); the test side may
-  // repeat.
-  const double n = static_cast<double>(count());
-  const double m = static_cast<double>(test_sorted.size());
-  size_t i = 0;
-  size_t j = 0;
+  // Sweep over the union grid that evaluates, per distinct test value x,
+  // the last summary point strictly below x (at the previous F_T) and x
+  // itself (merged with a summary point equal to x, at the new F_T). The
+  // header explains why no other grid point can raise the sup.
+  const size_t k = values_.size();
+  const size_t m = test_sorted.size();
+  const double md = static_cast<double>(m);
+  size_t i = 0;     // summary points at or below the current grid point
+  size_t j = 0;     // test points at or below the current grid point
+  double ft = 0.0;  // F_T at the current grid point: j / m
   double d = 0.0;
-  while (i < values_.size() || j < test_sorted.size()) {
-    double x;
-    if (i < values_.size() &&
-        (j >= test_sorted.size() || values_[i] <= test_sorted[j])) {
-      x = values_[i];
-    } else {
-      x = test_sorted[j];
-    }
-    if (i < values_.size() && values_[i] == x) ++i;
-    while (j < test_sorted.size() && test_sorted[j] == x) ++j;
-    const double g = (i > 0 ? cumulative_weights_[i - 1] : 0.0) / n;
-    const double ft = static_cast<double>(j) / m;
+  const auto fold = [&ft, &d](double g) {
     const double diff = g > ft ? g - ft : ft - g;
     if (diff > d) d = diff;
+  };
+  while (j < m) {
+    const double x = test_sorted[j];
+    if (i < k && values_[i] < x) {
+      while (++i < k && values_[i] < x) {
+      }
+      fold(ecdf_[i - 1]);
+    }
+    if (i < k && values_[i] == x) ++i;
+    while (++j < m && test_sorted[j] == x) {
+    }
+    ft = static_cast<double>(j) / md;
+    fold(i > 0 ? ecdf_[i - 1] : 0.0);
   }
   return d;
 }
@@ -88,7 +94,7 @@ SketchTriage SketchedReference::Classify(double statistic, size_t m) const {
 
 size_t SketchedReference::FootprintBytes() const {
   return sketch_.FootprintBytes() +
-         (values_.capacity() + cumulative_weights_.capacity()) *
+         (values_.capacity() + ecdf_.capacity()) *
              sizeof(double);
 }
 

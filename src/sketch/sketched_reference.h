@@ -91,7 +91,25 @@ class SketchedReference {
   /// sup_x |G(x) - F_T(x)| over the union grid of the summary values and
   /// the (ascending, finite, non-empty) test window — computed exactly,
   /// allocation-free, in O(summary + m). The caller sorts and validates
-  /// the window (Moche::TriageSketchedInto does both).
+  /// the window (Moche::TriageSketchedInto, or the stream monitor's
+  /// incrementally sorted window).
+  ///
+  /// Only one summary point per distinct test value is evaluated. Take
+  /// the run of summary points strictly between consecutive distinct test
+  /// values x' < x: F_T is constant on it, at its value at x', while G is
+  /// non-decreasing and no smaller than G(x'). Where G <= F_T, F_T - G is
+  /// therefore at most its value at x', which the sweep evaluated; where
+  /// G > F_T, G - F_T peaks at the run's last point. So each run needs
+  /// only its last point (before the first test value F_T = 0 and the
+  /// same holds). Past the last test value F_T = 1 and G <= 1 (the sketch
+  /// conserves weight, so G ends at exactly n / n), so that tail is
+  /// covered by the last test value and is not visited at all. The
+  /// argument holds in floating point: G is stored pre-divided by n (a
+  /// correctly rounded, hence monotone, division), and the rounded
+  /// g - F_T and F_T - g are monotone in g. Each evaluated point computes
+  /// the same doubles as a full sweep over every grid point, so D is
+  /// bit-identical to it; the only divisions left are one j / m per
+  /// distinct test value.
   double StatisticAgainstSorted(const std::vector<double>& test_sorted) const;
 
   /// Classifies a precomputed sweep result against the KS threshold for
@@ -100,9 +118,6 @@ class SketchedReference {
 
   const KllSketch& sketch() const { return sketch_; }
   const std::vector<double>& values() const { return values_; }
-  const std::vector<double>& cumulative_weights() const {
-    return cumulative_weights_;
-  }
   /// Exact number of reference observations the sketch summarizes.
   uint64_t count() const { return sketch_.count(); }
   double alpha() const { return alpha_; }
@@ -131,9 +146,10 @@ class SketchedReference {
   KllSketch sketch_;
   double alpha_ = 0.05;
   // Flattened summary (kll_sketch.h FlattenTo): strictly ascending unique
-  // values; cumulative_weights_[i] = estimated #observations <= values_[i].
+  // values; ecdf_[i] = G(values_[i]) = (estimated #observations <=
+  // values_[i]) / n, the FlattenTo cumulative weight divided once at Build.
   std::vector<double> values_;
-  std::vector<double> cumulative_weights_;
+  std::vector<double> ecdf_;
 };
 
 }  // namespace sketch

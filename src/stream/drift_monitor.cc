@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "ks/ks_test.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 
@@ -53,12 +54,17 @@ void DriftMonitor::Stream::WindowContentsInto(
 Status DriftMonitor::Stream::Push(double v) {
   if (detector.has_value()) return detector->Push(v);
   if (ring.size() < window) {
-    // Filling phase; AddStream reserved full capacity, so no reallocation.
+    // Filling phase (no reallocation within AddStream's reservation).
     ring.push_back(v);
   } else {
+    // Drop one copy of the evicted value from the sorted window; the
+    // insert below then stays within the capacity it freed.
+    sorted.erase(std::lower_bound(sorted.begin(), sorted.end(),
+                                  ring[ring_head]));
     ring[ring_head] = v;
     ring_head = (ring_head + 1) % window;
   }
+  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), v), v);
   return Status::OK();
 }
 
@@ -108,6 +114,7 @@ Result<size_t> DriftMonitor::AddStream(std::string name,
     }
     stream.window = window_size;
     stream.ring.reserve(window_size);
+    stream.sorted.reserve(window_size);
   } else {
     MOCHE_ASSIGN_OR_RETURN(
         StreamingKs detector,
@@ -160,6 +167,7 @@ DriftEvent DriftMonitor::Explain(size_t worker, size_t i,
 Status DriftMonitor::ExactWindowOutcome(const Stream& s,
                                         WorkerScratch* scratch,
                                         std::optional<KsOutcome>* outcome) {
+  s.WindowContentsInto(&scratch->window);
   WindowBatch batch;
   batch.data = scratch->window.data();
   batch.count = 1;
@@ -178,11 +186,11 @@ Result<bool> DriftMonitor::JudgeWindow(size_t worker, Stream* s,
     MOCHE_ASSIGN_OR_RETURN(*outcome, s->detector->CurrentOutcome());
     return (*outcome)->reject;
   }
-  WorkerScratch& scratch = ScratchFor(worker);
-  s->WindowContentsInto(&scratch.window);
-  sketch::SketchTriage triage;
-  MOCHE_RETURN_IF_ERROR(engine_.TriageSketchedInto(
-      *s->sketched, scratch.window, &scratch.workspace, &triage));
+  // PushBatch screened every observation, so this check cannot fire; it
+  // stays as the triage input's own screen.
+  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(s->sorted, "test set"));
+  const sketch::SketchTriage triage = s->sketched->Classify(
+      s->sketched->StatisticAgainstSorted(s->sorted), s->sorted.size());
   switch (triage.verdict) {
     case sketch::TriageVerdict::kCertainPass:
       ++s->triage_certified_pass;
@@ -194,7 +202,7 @@ Result<bool> DriftMonitor::JudgeWindow(size_t worker, Stream* s,
       break;
   }
   ++s->triage_fallbacks;
-  MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(*s, &scratch, outcome));
+  MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(*s, &ScratchFor(worker), outcome));
   return (*outcome)->reject;
 }
 
@@ -227,7 +235,7 @@ Status DriftMonitor::DrainStream(size_t worker, size_t i,
     }
     if (!outcome.has_value()) {
       // A certified fail: the exact outcome is paid for only now that the
-      // push fires (JudgeWindow left the window in the worker's scratch).
+      // push fires.
       MOCHE_RETURN_IF_ERROR(
           ExactWindowOutcome(s, &ScratchFor(worker), &outcome));
     }

@@ -16,18 +16,20 @@
 // stream, O(log(n+m)) per push. kSketched replaces the per-stream copy
 // with one shared KLL summary of the reference (sketch::SketchedReference,
 // O(sketch_k * log(n/sketch_k)) memory per *fleet*): each stream keeps
-// only its window ring, and every full-window push is triaged through
-// Moche::TriageSketchedInto. Certified verdicts settle the push on the
-// summary alone; only the uncertain band (and windows that actually fire
-// an explanation) fall back to the interned exact reference, which the
-// fleet still shares once for fallback and for ExplainPrepared. The
-// trade: a sketched push re-sorts its window (O(w log w) against the
-// summary) instead of the detector's incremental O(log), so kSketched is
-// the memory knob for fleets of thousands of streams over giant
-// references, not a latency upgrade. Detection semantics are recompute
-// semantics — each full window is judged like ks::RunSorted on its
-// snapshot, matching RecheckWindows; a treap detector in kExact mode can
-// disagree within ~1e-9 of the decision boundary (see
+// only its window ring plus a sorted copy of it, and every full-window
+// push is triaged against the summary (the sweep and bracket of
+// Moche::TriageSketchedInto, minus its sort). Certified verdicts settle
+// the push on the summary alone; only the uncertain band (and windows
+// that actually fire an explanation) fall back to the interned exact
+// reference, which the fleet still shares once for fallback and for
+// ExplainPrepared. The sorted copy slides with the ring (two binary
+// searches and an O(w) memmove per push), so a full-window push costs
+// that plus an endpoint sweep against the summary (O(summary + w)
+// compares, one division per distinct window value) — no per-push sort,
+// and nothing that grows with the reference. Detection semantics are
+// recompute semantics — each full window is judged like ks::RunSorted on
+// its snapshot, matching RecheckWindows; a treap detector in kExact mode
+// can disagree within ~1e-9 of the decision boundary (see
 // fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
 // well-separated data but not bit-contractual.
 //
@@ -63,14 +65,15 @@
 //
 // Allocation contract: each worker thread drains streams against its own
 // lazily created workspace (created once, reused forever; stats() reports
-// the pool's footprint), the detectors recycle their treap nodes, and the
-// per-batch fan-out buffers are monitor members reused across batches. A
-// warmed-up sequential (num_threads = 1) monitor therefore performs ZERO
-// heap allocations on a PushBatch that fires no drift event — the steady
-// state of a healthy fleet — and a firing batch allocates only the
-// DriftEvent storage that outlives the call in the event log. The
-// parallel path adds a small O(1) per-batch cost for the pool's job
-// control block.
+// the pool's footprint), the detectors recycle their treap nodes, sketched
+// streams slide their ring and sorted copy within the capacity AddStream
+// reserved, and the per-batch fan-out buffers are monitor members reused
+// across batches. A warmed-up sequential (num_threads = 1) monitor
+// therefore performs ZERO heap allocations on a PushBatch that fires no
+// drift event — the steady state of a healthy fleet — and a firing batch
+// allocates only the DriftEvent storage that outlives the call in the
+// event log. The parallel path adds a small O(1) per-batch cost for the
+// pool's job control block.
 
 #ifndef MOCHE_STREAM_DRIFT_MONITOR_H_
 #define MOCHE_STREAM_DRIFT_MONITOR_H_
@@ -176,7 +179,8 @@ class DriftMonitor {
     uint64_t drift_ticks = 0;    ///< pushes whose window rejected
     uint64_t explanations = 0;   ///< DriftEvents emitted
     /// Explain workspaces created so far (at most one per worker thread;
-    /// a monitor that never fires an explanation creates none).
+    /// a monitor that never fires an explanation nor falls back to the
+    /// exact test creates none).
     size_t workspaces_created = 0;
     /// Total heap bytes retained by the workspace pool. Workspace buffers
     /// never shrink, so this is also the pool's high-water mark.
@@ -268,11 +272,18 @@ class DriftMonitor {
     std::shared_ptr<const PreparedReference> prepared;
     /// Engaged exactly in kSketched mode (shared per distinct reference).
     std::shared_ptr<const sketch::SketchedReference> sketched;
-    /// kSketched window ring: capacity `window` doubles, filled by
-    /// push_back until full, then overwritten in place with `ring_head`
-    /// marking the oldest slot (= the next overwrite target).
+    /// kSketched window ring: filled by push_back until it holds `window`
+    /// doubles, then overwritten in place with `ring_head` marking the
+    /// oldest slot (= the next overwrite target). AddStream reserves the
+    /// full capacity; a restored, partly filled ring grows on demand.
     std::vector<double> ring;
     size_t ring_head = 0;
+    /// kSketched: the ring's values in ascending order, kept so by Push
+    /// (the triage input). Derived state: snapshots omit it and restore
+    /// rebuilds it from the ring. Values equal under == (e.g. -0.0 and
+    /// +0.0) may trade places with their twins in the ring, which no
+    /// comparison-based statistic can see.
+    std::vector<double> sorted;
     size_t window = 0;              // ring capacity (0 in kExact mode)
     uint64_t ticks = 0;             // observations pushed so far
     bool in_excursion = false;      // window currently above threshold
@@ -294,7 +305,7 @@ class DriftMonitor {
     /// (allocation-free once out's capacity is warm). Both modes.
     void WindowContentsInto(std::vector<double>* out) const;
     /// Admits one observation into the window: the detector in kExact
-    /// mode, the ring in kSketched mode.
+    /// mode, the ring and its sorted copy in kSketched mode.
     Status Push(double v);
   };
 
@@ -332,19 +343,19 @@ class DriftMonitor {
 
   /// The drain loop's only mode-specific step: whether stream s's full
   /// window rejects. kExact asks the detector, which also yields the exact
-  /// outcome. kSketched triages the window on the shared summary and
-  /// counts the verdict; only an uncertain one pays for the exact outcome
-  /// here, while a certified fail leaves *outcome empty (and the window in
-  /// the worker's scratch) for DrainStream to fill if the push fires.
+  /// outcome. kSketched triages the stream's sorted window on the shared
+  /// summary and counts the verdict; only an uncertain one pays for the
+  /// exact outcome here, while a certified fail leaves *outcome empty for
+  /// DrainStream to fill if the push fires.
   Result<bool> JudgeWindow(size_t worker, Stream* s,
                            std::optional<KsOutcome>* outcome);
 
   /// Lazily creates (then returns) worker `worker`'s scratch slot.
   WorkerScratch& ScratchFor(size_t worker);
 
-  /// Exact KS outcome for the window currently held in scratch.window,
-  /// against stream `s`'s interned PreparedReference (one-window
-  /// EvaluateBatchPrepared; allocation-free once warm).
+  /// Exact KS outcome for stream `s`'s current window against its
+  /// interned PreparedReference: copies the window into scratch.window and
+  /// runs a one-window EvaluateBatchPrepared (allocation-free once warm).
   Status ExactWindowOutcome(const Stream& s, WorkerScratch* scratch,
                             std::optional<KsOutcome>* outcome);
 

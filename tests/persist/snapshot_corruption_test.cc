@@ -231,6 +231,67 @@ TEST(SnapshotCorruptionTest, HostileLengthFieldsCannotAllocate) {
   EXPECT_FALSE(restored.ok());
 }
 
+TEST(SnapshotCorruptionTest, HostileRingCapacityCannotAllocate) {
+  // A CRC-clean sketched shard whose one stream claims a 2^60-value window
+  // around a 10-value ring. The claim passes the ring-size check, so the
+  // restore must size nothing by it: the monitor restores (a partly filled
+  // ring grows on demand) instead of throwing from the allocator.
+  auto monitor = stream::DriftMonitor::Create(SketchedOptions(64));
+  ASSERT_TRUE(monitor.ok());
+  std::vector<double> reference;
+  for (int i = 0; i < 100; ++i) reference.push_back(0.01 * i);
+  ASSERT_TRUE(monitor->AddStream("s", reference, 40).ok());
+  std::vector<std::vector<double>> batch = {
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.5}};
+  ASSERT_TRUE(monitor->PushBatch(batch).ok());
+  CheckpointOptions checkpoint;
+  checkpoint.num_shards = 1;
+  auto blobs = MonitorCodec::Serialize(*monitor, checkpoint);
+  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+
+  // Re-frame the shard section by section (fresh CRCs), patching the
+  // window capacity in the stream table: the third section.
+  auto reader = SnapshotReader::Open(blobs->shards[0], "shard");
+  ASSERT_TRUE(reader.ok());
+  std::string hostile;
+  SnapshotWriter writer(&hostile);
+  SnapshotSection section;
+  bool done = false;
+  for (int index = 0;; ++index) {
+    ASSERT_TRUE(reader->Next(&section, &done).ok());
+    if (done) break;
+    std::string payload(section.payload);
+    if (index == 2) {
+      bin::Reader r(payload);
+      uint64_t u64 = 0;
+      uint8_t u8 = 0;
+      std::string name;
+      // count, index, name, reference, ticks, excursion, pushes,
+      // drift_ticks, three triage counters, then the window capacity.
+      ASSERT_TRUE(r.ReadU64Le(&u64) && r.ReadU64Le(&u64) &&
+                  r.ReadString(&name) && r.ReadU64Le(&u64) &&
+                  r.ReadU64Le(&u64) && r.ReadU8(&u8) && r.ReadU64Le(&u64) &&
+                  r.ReadU64Le(&u64) && r.ReadU64Le(&u64) &&
+                  r.ReadU64Le(&u64) && r.ReadU64Le(&u64));
+      const size_t at = r.pos();
+      ASSERT_TRUE(r.ReadU64Le(&u64));
+      ASSERT_EQ(u64, 40u);
+      std::string capacity;
+      bin::AppendU64Le(1ull << 60, &capacity);
+      payload.replace(at, capacity.size(), capacity);
+    }
+    writer.BeginSection(section.id)->append(payload);
+    writer.EndSection();
+  }
+  blobs->shards[0] = hostile;
+
+  auto restored = MonitorCodec::Deserialize(*blobs, RestoreOptions{});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->stream_ticks(0), 10u);
+  EXPECT_TRUE(restored->PushBatch(batch).ok());
+  EXPECT_EQ(restored->stream_ticks(0), 20u);
+}
+
 TEST(SnapshotCorruptionTest, BadReferenceModeByteIsRejected) {
   // A CRC-clean manifest declaring reference mode 7: the enum range check
   // must fire before any shard is touched.

@@ -39,6 +39,48 @@ SketchedReference MakeSketched(const std::vector<double>& reference,
   return std::move(*sketched);
 }
 
+// The full merged sweep StatisticAgainstSorted replaced: every point of the
+// union grid, G recomputed as cumulative weight / n at each one. The
+// endpoint sweep must return exactly this double.
+double MergedSweepOracle(const SketchedReference& sketched,
+                         const std::vector<double>& test_sorted) {
+  std::vector<double> values;
+  std::vector<double> cumulative_weights;
+  sketched.sketch().FlattenTo(&values, &cumulative_weights);
+  const double n = static_cast<double>(sketched.count());
+  const double m = static_cast<double>(test_sorted.size());
+  size_t i = 0;
+  size_t j = 0;
+  double d = 0.0;
+  while (i < values.size() || j < test_sorted.size()) {
+    double x;
+    if (i < values.size() &&
+        (j >= test_sorted.size() || values[i] <= test_sorted[j])) {
+      x = values[i];
+    } else {
+      x = test_sorted[j];
+    }
+    if (i < values.size() && values[i] == x) ++i;
+    while (j < test_sorted.size() && test_sorted[j] == x) ++j;
+    const double g = (i > 0 ? cumulative_weights[i - 1] : 0.0) / n;
+    const double ft = static_cast<double>(j) / m;
+    const double diff = g > ft ? g - ft : ft - g;
+    if (diff > d) d = diff;
+  }
+  return d;
+}
+
+// Sorts `window` and requires the endpoint sweep to equal the oracle bit
+// for bit.
+void ExpectSweepParity(const SketchedReference& sketched,
+                       std::vector<double> window, const std::string& what) {
+  std::sort(window.begin(), window.end());
+  const double got = sketched.StatisticAgainstSorted(window);
+  const double want = MergedSweepOracle(sketched, window);
+  EXPECT_EQ(bin::DoubleBits(got), bin::DoubleBits(want))
+      << what << ": endpoint sweep " << got << " vs merged sweep " << want;
+}
+
 TEST(SketchTriageTest, CertifiedVerdictsAgreeWithExactKs) {
   Rng rng(101);
   const double alpha = 0.05;
@@ -182,6 +224,94 @@ TEST(SketchTriageTest, SerializeRoundTripPreservesTriage) {
   EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_EQ(a.threshold, b.threshold);
   EXPECT_EQ(a.epsilon, b.epsilon);
+}
+
+TEST(SketchTriageTest, EndpointSweepMatchesMergedSweepBitForBit) {
+  Rng rng(127);
+  // Sketches from exact (n <= k, no compaction) to heavily compacted, over
+  // a continuous reference and over a tied one that contains both zeros.
+  const double alphabet[] = {-3.0, -1.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.5};
+  for (size_t k : {8, 32, 256}) {
+    for (size_t n : {1, 2, 50, 3000}) {
+      for (bool tied : {false, true}) {
+        std::vector<double> reference;
+        for (size_t i = 0; i < n; ++i) {
+          reference.push_back(
+              tied ? alphabet[rng.Integer(0, 7)] : rng.Normal(0.0, 1.0));
+        }
+        const SketchedReference sketched = MakeSketched(reference, 0.05, k);
+        const std::vector<double>& summary = sketched.values();
+        const std::string what = "k=" + std::to_string(k) +
+                                 " n=" + std::to_string(n) +
+                                 (tied ? " tied" : " continuous");
+        for (int trial = 0; trial < 20; ++trial) {
+          const size_t m = static_cast<size_t>(rng.Integer(1, 120));
+          // Random windows, from a shifted distribution so some runs of
+          // summary points lie below, between and above the window.
+          std::vector<double> window;
+          for (size_t j = 0; j < m; ++j) {
+            window.push_back(rng.Normal(rng.Uniform(-1.0, 1.0), 1.5));
+          }
+          ExpectSweepParity(sketched, window, what + " random");
+          // Tied windows drawing from the alphabet and from the summary
+          // itself, so test values coincide with grid points.
+          window.clear();
+          for (size_t j = 0; j < m; ++j) {
+            window.push_back(
+                rng.Bernoulli(0.5)
+                    ? alphabet[rng.Integer(0, 7)]
+                    : summary[static_cast<size_t>(rng.Integer(
+                          0, static_cast<int64_t>(summary.size()) - 1))]);
+          }
+          ExpectSweepParity(sketched, window, what + " tied");
+          // Windows entirely below and entirely above the summary.
+          window.assign(m, summary.front() - 1.0);
+          window.back() = summary.front() - 0.5;
+          ExpectSweepParity(sketched, window, what + " below");
+          window.assign(m, summary.back() + 1.0);
+          window.front() = summary.back() + 0.5;
+          ExpectSweepParity(sketched, window, what + " above");
+        }
+        // m = 1: at the extremes, on each summary point, and between.
+        for (size_t i = 0; i < summary.size(); ++i) {
+          ExpectSweepParity(sketched, {summary[i]}, what + " m=1 on");
+          if (i + 1 < summary.size()) {
+            ExpectSweepParity(sketched, {(summary[i] + summary[i + 1]) / 2},
+                              what + " m=1 between");
+          }
+        }
+        ExpectSweepParity(sketched, {summary.front() - 1.0}, what + " m=1 <");
+        ExpectSweepParity(sketched, {summary.back() + 1.0}, what + " m=1 >");
+        // Signed zeros on either side of a zero grid point.
+        ExpectSweepParity(sketched, {-0.0, 0.0, -0.0}, what + " zeros");
+        ExpectSweepParity(sketched, {-0.0}, what + " -0.0");
+        ExpectSweepParity(sketched, {0.0, 0.0, 1.0}, what + " +0.0");
+      }
+    }
+  }
+}
+
+TEST(SketchTriageTest, EndpointSweepOnAOneValueSummary) {
+  // Every reference value equal (one of them written as -0.0): the summary
+  // is a single grid point at 0 carrying all the weight.
+  std::vector<double> reference(500, 0.0);
+  reference[7] = -0.0;
+  const SketchedReference sketched = MakeSketched(reference, 0.05, 8);
+  ASSERT_EQ(sketched.values().size(), 1u);
+  for (const std::vector<double>& window :
+       std::vector<std::vector<double>>{{-0.0},
+                                        {0.0},
+                                        {-1.0},
+                                        {1.0},
+                                        {-1.0, 1.0},
+                                        {-0.0, 0.0, 0.0, 2.0},
+                                        {-5.0, -4.0, -0.0, 3.0, 3.0},
+                                        {1.0, 2.0, 3.0}}) {
+    ExpectSweepParity(sketched, window, "one-value summary");
+  }
+  // A one-observation reference has the same one-point summary shape.
+  ExpectSweepParity(MakeSketched({2.5}, 0.05, 8), {1.0, 2.5, 4.0},
+                    "one-observation reference");
 }
 
 // More capacity can only shrink the uncertain band: a window certified at

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/moche.h"
 #include "ks/ks_test.h"
+#include "persist/monitor_codec.h"
+#include "sketch/sketched_reference.h"
 #include "timeseries/generators.h"
 #include "util/rng.h"
 
@@ -440,6 +443,123 @@ TEST(SketchedMonitorTest, RecheckWindowsMatchesRunSorted) {
   EXPECT_EQ(outcomes[0].n, solo->n);
   // The non-full stream is skipped (impossible n == 0), as in exact mode.
   EXPECT_EQ(outcomes[1].n, 0u);
+}
+
+TEST(SketchedMonitorTest, SortedWindowTriageMatchesTriageSketchedInto) {
+  // Tied data with signed zeros: every evicted value has equal twins in
+  // the window (often of the other sign), which is where an incrementally
+  // sorted window could drop the wrong copy. After each tick the tally
+  // increments must be exactly the verdicts Moche::TriageSketchedInto gives
+  // on the known arrival-order windows; a checkpoint taken mid-excursion
+  // and restored must then continue identically.
+  const double alpha = 0.05;
+  const size_t window = 40;
+  const size_t kStreams = 2;
+  const size_t kTicks = 240;
+  const size_t kCheckpointTick = 130;
+  const double calm[] = {-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0};
+  const double drift[] = {1.5, 3.0, 3.0, 5.0};
+  Rng rng(kSeed);
+  std::vector<double> reference;
+  for (int i = 0; i < 400; ++i) reference.push_back(calm[rng.Integer(0, 7)]);
+  // Stream s drifts on [100 + 20 s, 160 + 20 s).
+  std::vector<std::vector<double>> ticks(kTicks,
+                                         std::vector<double>(kStreams));
+  for (size_t t = 0; t < kTicks; ++t) {
+    for (size_t st = 0; st < kStreams; ++st) {
+      const bool drifting = t >= 100 + 20 * st && t < 160 + 20 * st;
+      ticks[t][st] = drifting ? drift[rng.Integer(0, 3)]
+                              : calm[rng.Integer(0, 7)];
+    }
+  }
+
+  MonitorOptions options;
+  options.alpha = alpha;
+  options.reference_mode = ReferenceMode::kSketched;
+  options.sketch_k = 64;
+  sketch::KllOptions kll;
+  kll.capacity = options.sketch_k;
+  auto oracle_sketch = sketch::SketchedReference::FromSample(reference, alpha,
+                                                             kll);
+  ASSERT_TRUE(oracle_sketch.ok());
+  const Moche engine;
+  ExplainWorkspace workspace;
+
+  // Pushes ticks [from, to) into `monitor`, checking the tally increments
+  // against the oracle verdicts on the shadow windows.
+  const auto feed = [&](DriftMonitor* monitor,
+                        std::vector<std::vector<double>>* shadow,
+                        size_t from, size_t to) {
+    for (size_t t = from; t < to; ++t) {
+      const DriftMonitor::Stats before = monitor->stats();
+      ASSERT_TRUE(monitor->PushTick(ticks[t]).ok());
+      uint64_t want[3] = {0, 0, 0};  // certified pass, certified fail, other
+      for (size_t st = 0; st < kStreams; ++st) {
+        std::vector<double>& w = (*shadow)[st];
+        w.push_back(ticks[t][st]);
+        if (w.size() > window) w.erase(w.begin());
+        if (w.size() < window) continue;
+        sketch::SketchTriage triage;
+        ASSERT_TRUE(
+            engine.TriageSketchedInto(*oracle_sketch, w, &workspace, &triage)
+                .ok());
+        ++want[static_cast<int>(triage.verdict)];
+      }
+      const DriftMonitor::Stats after = monitor->stats();
+      ASSERT_EQ(after.triage_certified_fail - before.triage_certified_fail,
+                want[static_cast<int>(sketch::TriageVerdict::kCertainFail)])
+          << "tick " << t;
+      ASSERT_EQ(after.triage_certified_pass - before.triage_certified_pass,
+                want[static_cast<int>(sketch::TriageVerdict::kCertainPass)])
+          << "tick " << t;
+      ASSERT_EQ(after.triage_fallbacks - before.triage_fallbacks,
+                want[static_cast<int>(sketch::TriageVerdict::kUncertain)])
+          << "tick " << t;
+    }
+  };
+  const auto add_streams = [&](DriftMonitor* monitor) {
+    for (size_t st = 0; st < kStreams; ++st) {
+      ASSERT_TRUE(
+          monitor->AddStream("s" + std::to_string(st), reference, window)
+              .ok());
+    }
+  };
+
+  auto whole = DriftMonitor::Create(options);
+  ASSERT_TRUE(whole.ok());
+  add_streams(&*whole);
+  std::vector<std::vector<double>> whole_shadow(kStreams);
+  feed(&*whole, &whole_shadow, 0, kTicks);
+  const DriftMonitor::Stats whole_stats = whole->stats();
+  // The data must reach every verdict and fire events, or the parity above
+  // proves little.
+  EXPECT_GT(whole_stats.triage_certified_pass, 0u);
+  EXPECT_GT(whole_stats.triage_certified_fail, 0u);
+  EXPECT_GT(whole_stats.triage_fallbacks, 0u);
+  EXPECT_GE(whole->events().size(), kStreams);
+
+  auto first = DriftMonitor::Create(options);
+  ASSERT_TRUE(first.ok());
+  add_streams(&*first);
+  std::vector<std::vector<double>> shadow(kStreams);
+  feed(&*first, &shadow, 0, kCheckpointTick);
+  ASSERT_TRUE(first->stream_in_excursion(0));
+  auto blobs = persist::MonitorCodec::Serialize(*first,
+                                                persist::CheckpointOptions{});
+  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+  auto resumed =
+      persist::MonitorCodec::Deserialize(*blobs, persist::RestoreOptions{});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  feed(&*resumed, &shadow, kCheckpointTick, kTicks);
+
+  EXPECT_TRUE(SameEventLogs(whole->events(), resumed->events()));
+  const DriftMonitor::Stats resumed_stats = resumed->stats();
+  EXPECT_EQ(resumed_stats.triage_certified_pass,
+            whole_stats.triage_certified_pass);
+  EXPECT_EQ(resumed_stats.triage_certified_fail,
+            whole_stats.triage_certified_fail);
+  EXPECT_EQ(resumed_stats.triage_fallbacks, whole_stats.triage_fallbacks);
+  EXPECT_EQ(resumed_stats.drift_ticks, whole_stats.drift_ticks);
 }
 
 TEST(SketchedMonitorTest, PinnedReferencesIgnoreTheCacheBound) {
