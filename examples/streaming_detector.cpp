@@ -71,8 +71,8 @@ int main() {
     std::printf("no drift detected (unexpected for this scenario)\n");
     return 1;
   }
-  std::printf("\nDetection cost: O(log n) per observation via the treap-"
-              "backed incremental KS;\nthe O(m(n+m)) explanation ran once, "
-              "on the alarm.\n");
+  std::printf("\nDetection cost: O(log d) per observation (d distinct "
+              "reference values)\nvia the segment-tree incremental KS; the "
+              "O(m(n+m)) explanation ran once,\non the alarm.\n");
   return 0;
 }

@@ -131,8 +131,8 @@ class Provider {
   }
 
   /// As FiniteArray but from a small shared alphabet, so duplicates occur
-  /// across the reference and test samples (equal-key treap paths, tied
-  /// ECDF grid points).
+  /// across the reference and test samples (window values landing on
+  /// reference values, tied ECDF grid points).
   void TiedArray(size_t count, int alphabet, std::vector<double>* out) {
     if (alphabet < 1) alphabet = 1;
     out->clear();

@@ -1,15 +1,22 @@
 // Differential oracle: StreamingKs under an eviction-heavy push schedule
-// against a from-scratch ks::Run recompute on a mirrored window.
+// against two from-scratch recomputes on a mirrored window.
 //
-// The incremental detector maintains integer scores s(x) = m*C_R - n*C_W
-// in a treap; the batch path computes max |cum_r/n - cum_t/m| directly.
-// Mathematically identical, computed differently — so the statistic is
-// compared within the tree's tight tolerance (1e-12, as the unit suite
-// does), the threshold bit-exactly (same formula, same operands), the
-// window contents exactly, and the reject decisions may only differ when
-// the batch statistic sits within tolerance of the threshold.
+// The incremental detector maintains the integer scores s(x) = m*C_R -
+// n*C_W through a segment tree over the reference's distinct values. The
+// in-target integer oracle counts max |s(x)| over every reference and
+// window value directly and divides the same way, so the statistic must
+// match it bit for bit. The batch path ks::Run computes
+// max |cum_r/n - cum_t/m| instead: mathematically identical, computed
+// differently — so against it the statistic is compared within the tree's
+// tight tolerance (1e-12, as the unit suite does), the threshold
+// bit-exactly (same formula, same operands), the window contents exactly,
+// and the reject decisions may only differ when the batch statistic sits
+// within tolerance of the threshold.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <vector>
@@ -26,6 +33,26 @@ bool SameBits(double a, double b) {
 }
 
 constexpr double kTightTol = 1e-12;
+
+// max |m * C_R(x) - n * C_W(x)| over x in R u W by counting, divided as
+// the detector divides.
+double IntegerScoreStatistic(const std::vector<double>& reference,
+                             const std::deque<double>& window) {
+  const int64_t n = static_cast<int64_t>(reference.size());
+  const int64_t m = static_cast<int64_t>(window.size());
+  int64_t best = 0;
+  auto score_at = [&](double x) {
+    int64_t c_r = 0;
+    int64_t c_w = 0;
+    for (double r : reference) c_r += r <= x;
+    for (double w : window) c_w += w <= x;
+    best = std::max(best, std::abs(m * c_r - n * c_w));
+  };
+  for (double x : reference) score_at(x);
+  for (double x : window) score_at(x);
+  return static_cast<double>(best) /
+         (static_cast<double>(n) * static_cast<double>(m));
+}
 
 }  // namespace
 
@@ -62,7 +89,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
 
     // Values from the same alphabet as the reference so evictions hit the
-    // equal-key treap paths constantly.
+    // reference values' own counts, not only the gaps between them.
     const double v = in.Bool()
                          ? static_cast<double>(in.IntInRange(0, alphabet))
                          : in.FiniteValue();
@@ -83,6 +110,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     auto incremental = stream->CurrentOutcome();
     MOCHE_FUZZ_CHECK(incremental.ok(), "CurrentOutcome failed: %s",
                      incremental.status().message().c_str());
+    const double oracle = IntegerScoreStatistic(reference, mirror);
+    MOCHE_FUZZ_CHECK(SameBits(incremental->statistic, oracle),
+                     "step %zu: incremental D %.17g vs integer oracle %.17g",
+                     step, incremental->statistic, oracle);
     auto batch = moche::ks::Run(
         reference, std::vector<double>(mirror.begin(), mirror.end()), alpha);
     MOCHE_FUZZ_CHECK(batch.ok(), "batch recompute failed: %s",

@@ -13,8 +13,8 @@
 //
 // Restore rebuilds a monitor that is observably identical to the one that
 // was checkpointed: the same streams (indices, names, tick counts, re-arm
-// state, detector windows — treaps are rebuilt deterministically from the
-// serialized window rings), the same interned references, and the same
+// state, detector windows — each detector's tree is rebuilt by replaying
+// its serialized window ring), the same interned references, and the same
 // event log in the same order. Feeding the restored monitor the remaining
 // observations produces an event log bit-identical (SameEventLogs, and
 // byte-identical under FormatEventLog) to a monitor that never stopped —

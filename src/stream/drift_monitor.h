@@ -2,7 +2,7 @@
 // deployment loop as a subsystem.
 //
 // The monitor owns N named streams. Each stream binds an incremental KS
-// detector (StreamingKs, O(log(n+m)) per observation) to an interned
+// detector (StreamingKs, O(log d) per observation) to an interned
 // PreparedReference; observation batches fan out across a util/parallel
 // ThreadPool, one task per stream. When a stream's window drifts, the
 // monitor runs Moche::ExplainPrepared on the window snapshot and records a
@@ -11,11 +11,12 @@
 // (kEveryKPushes) instead of thousands of duplicates.
 //
 // Reference modes (MonitorOptions::reference_mode): in the default kExact
-// mode every stream owns a StreamingKs detector, which copies the full
-// reference into a per-stream order-statistic treap — O(n) memory per
-// stream, O(log(n+m)) per push. kSketched replaces the per-stream copy
-// with one shared KLL summary of the reference (sketch::SketchedReference,
-// O(sketch_k * log(n/sketch_k)) memory per *fleet*): each stream keeps
+// mode every stream owns a StreamingKs detector, which builds a per-stream
+// segment tree over the d distinct values of the reference — O(d) memory
+// per stream, O(log d) per push, whatever the window size. kSketched
+// replaces the per-stream tree with one shared KLL summary of the
+// reference (sketch::SketchedReference, O(sketch_k * log(n/sketch_k))
+// memory per *fleet*): each stream keeps
 // only its window ring plus a sorted copy of it, and every full-window
 // push is triaged against the summary (the sweep and bracket of
 // Moche::TriageSketchedInto, minus its sort). Certified verdicts settle
@@ -28,8 +29,8 @@
 // compares, one division per distinct window value) — no per-push sort,
 // and nothing that grows with the reference. Detection semantics are
 // recompute semantics — each full window is judged like ks::RunSorted on
-// its snapshot, matching RecheckWindows; a treap detector in kExact mode
-// can disagree within ~1e-9 of the decision boundary (see
+// its snapshot, matching RecheckWindows; the kExact detector's integer
+// scores can disagree within ~1e-9 of the decision boundary (see
 // fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
 // well-separated data but not bit-contractual.
 //
@@ -41,8 +42,8 @@
 // Determinism contract: stream i's events are produced by stream i's task
 // alone and merged in stream order after every batch, so the event log is
 // bit-identical to the sequential (num_threads = 1) run at any thread
-// count. Everything per-stream is deterministic — the detector's treap
-// priorities depend only on that stream's insertion sequence, and
+// count. Everything per-stream is deterministic — the detector's counts
+// and statistic are a pure function of its reference and window, and
 // ExplainPrepared is a pure function of (reference, window, preference).
 //
 // Threading contract: the monitor is driven from one thread (AddStream /
@@ -65,15 +66,16 @@
 //
 // Allocation contract: each worker thread drains streams against its own
 // lazily created workspace (created once, reused forever; stats() reports
-// the pool's footprint), the detectors recycle their treap nodes, sketched
-// streams slide their ring and sorted copy within the capacity AddStream
-// reserved, and the per-batch fan-out buffers are monitor members reused
-// across batches. A warmed-up sequential (num_threads = 1) monitor
-// therefore performs ZERO heap allocations on a PushBatch that fires no
-// drift event — the steady state of a healthy fleet — and a firing batch
-// allocates only the DriftEvent storage that outlives the call in the
-// event log. The parallel path adds a small O(1) per-batch cost for the
-// pool's job control block.
+// the pool's footprint), the exact detectors update their fixed trees in
+// place once their window rings are full, sketched streams slide their
+// ring and sorted copy within the capacity AddStream reserved, and the
+// per-batch fan-out buffers are monitor members reused across batches. A
+// warmed-up sequential (num_threads = 1) monitor therefore performs ZERO
+// heap allocations on a PushBatch that fires no drift event — the steady
+// state of a healthy fleet — and a firing batch allocates only the
+// DriftEvent storage that outlives the call in the event log. The
+// parallel path adds a small O(1) per-batch cost for the pool's job
+// control block.
 
 #ifndef MOCHE_STREAM_DRIFT_MONITOR_H_
 #define MOCHE_STREAM_DRIFT_MONITOR_H_
@@ -121,7 +123,8 @@ enum class WindowPreference {
 /// How streams hold their reference for detection (see the file header).
 enum class ReferenceMode {
   /// Per-stream StreamingKs detector over a private copy of the reference:
-  /// O(n) memory per stream, O(log(n+m)) per push. The default.
+  /// O(d) memory per stream for d distinct reference values, O(log d) per
+  /// push. The default.
   kExact,
   /// One shared KLL summary per distinct reference: O(sketch_k log(n/k))
   /// per fleet. Certified triage on the summary; exact fallback (via the

@@ -173,8 +173,8 @@ TEST(CrashRecoveryTest, SigkilledRunResumesToAByteIdenticalEventLog) {
 }
 
 TEST(CrashRecoveryTest, SigkilledSketchedFleetResumesIdentically) {
-  // The sketched fleet persists ring windows + KLL summaries instead of
-  // detector treaps; the recovery guarantee is the same.
+  // The sketched fleet persists bare ring windows + KLL summaries instead
+  // of detector state; the recovery guarantee is the same.
   stream::MonitorOptions options;
   options.reference_mode = stream::ReferenceMode::kSketched;
   options.sketch_k = 128;

@@ -231,26 +231,13 @@ TEST(SnapshotCorruptionTest, HostileLengthFieldsCannotAllocate) {
   EXPECT_FALSE(restored.ok());
 }
 
-TEST(SnapshotCorruptionTest, HostileRingCapacityCannotAllocate) {
-  // A CRC-clean sketched shard whose one stream claims a 2^60-value window
-  // around a 10-value ring. The claim passes the ring-size check, so the
-  // restore must size nothing by it: the monitor restores (a partly filled
-  // ring grows on demand) instead of throwing from the allocator.
-  auto monitor = stream::DriftMonitor::Create(SketchedOptions(64));
-  ASSERT_TRUE(monitor.ok());
-  std::vector<double> reference;
-  for (int i = 0; i < 100; ++i) reference.push_back(0.01 * i);
-  ASSERT_TRUE(monitor->AddStream("s", reference, 40).ok());
-  std::vector<std::vector<double>> batch = {
-      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.5}};
-  ASSERT_TRUE(monitor->PushBatch(batch).ok());
-  CheckpointOptions checkpoint;
-  checkpoint.num_shards = 1;
-  auto blobs = MonitorCodec::Serialize(*monitor, checkpoint);
-  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
-
-  // Re-frame the shard section by section (fresh CRCs), patching the
-  // window capacity in the stream table: the third section.
+/// Re-frames a one-shard checkpoint section by section (fresh CRCs),
+/// overwriting the first stream's window capacity in the stream table (the
+/// third section) with `capacity`. The capacity follows the entry's
+/// common fields and `skip` further u64 fields (the exact detector's
+/// reference size); `expected` is the capacity it must replace.
+void PatchWindowCapacity(CheckpointBlobs* blobs, int skip, uint64_t expected,
+                         uint64_t capacity) {
   auto reader = SnapshotReader::Open(blobs->shards[0], "shard");
   ASSERT_TRUE(reader.ok());
   std::string hostile;
@@ -267,25 +254,79 @@ TEST(SnapshotCorruptionTest, HostileRingCapacityCannotAllocate) {
       uint8_t u8 = 0;
       std::string name;
       // count, index, name, reference, ticks, excursion, pushes,
-      // drift_ticks, three triage counters, then the window capacity.
+      // drift_ticks, three triage counters.
       ASSERT_TRUE(r.ReadU64Le(&u64) && r.ReadU64Le(&u64) &&
                   r.ReadString(&name) && r.ReadU64Le(&u64) &&
                   r.ReadU64Le(&u64) && r.ReadU8(&u8) && r.ReadU64Le(&u64) &&
                   r.ReadU64Le(&u64) && r.ReadU64Le(&u64) &&
                   r.ReadU64Le(&u64) && r.ReadU64Le(&u64));
+      for (int i = 0; i < skip; ++i) ASSERT_TRUE(r.ReadU64Le(&u64));
       const size_t at = r.pos();
       ASSERT_TRUE(r.ReadU64Le(&u64));
-      ASSERT_EQ(u64, 40u);
-      std::string capacity;
-      bin::AppendU64Le(1ull << 60, &capacity);
-      payload.replace(at, capacity.size(), capacity);
+      ASSERT_EQ(u64, expected);
+      std::string patched;
+      bin::AppendU64Le(capacity, &patched);
+      payload.replace(at, patched.size(), patched);
     }
     writer.BeginSection(section.id)->append(payload);
     writer.EndSection();
   }
   blobs->shards[0] = hostile;
+}
 
-  auto restored = MonitorCodec::Deserialize(*blobs, RestoreOptions{});
+/// A one-stream monitor over a 100-point reference with windows of 40,
+/// fed `batch`, checkpointed into one shard.
+CheckpointBlobs OneStreamBlobs(stream::MonitorOptions options,
+                               const std::vector<std::vector<double>>& batch) {
+  auto monitor = stream::DriftMonitor::Create(options);
+  EXPECT_TRUE(monitor.ok());
+  std::vector<double> reference;
+  for (int i = 0; i < 100; ++i) reference.push_back(0.01 * i);
+  EXPECT_TRUE(monitor->AddStream("s", reference, 40).ok());
+  EXPECT_TRUE(monitor->PushBatch(batch).ok());
+  CheckpointOptions checkpoint;
+  checkpoint.num_shards = 1;
+  auto blobs = MonitorCodec::Serialize(*monitor, checkpoint);
+  EXPECT_TRUE(blobs.ok()) << blobs.status().ToString();
+  return *blobs;
+}
+
+TEST(SnapshotCorruptionTest, HostileRingCapacityCannotAllocate) {
+  // A CRC-clean sketched shard whose one stream claims a 2^60-value window
+  // around a 10-value ring. The claim passes the ring-size check, so the
+  // restore must size nothing by it: the monitor restores (a partly filled
+  // ring grows on demand) instead of throwing from the allocator.
+  const std::vector<std::vector<double>> batch = {
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.5}};
+  CheckpointBlobs blobs = OneStreamBlobs(SketchedOptions(64), batch);
+  PatchWindowCapacity(&blobs, /*skip=*/0, 40, 1ull << 60);
+
+  auto restored = MonitorCodec::Deserialize(blobs, RestoreOptions{});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->stream_ticks(0), 10u);
+  EXPECT_TRUE(restored->PushBatch(batch).ok());
+  EXPECT_EQ(restored->stream_ticks(0), 20u);
+}
+
+TEST(SnapshotCorruptionTest, HostileExactWindowCannotOverflow) {
+  // The exact-mode twin: a CRC-clean shard whose detector claims a
+  // 2^60-value window. With n = 100 the scores m * C_R would overflow
+  // int64, so the restore must fail with a Status, not throw from the
+  // allocator or run the overflowing arithmetic (the asan-ubsan leg runs
+  // this file). A window that passes the n * m <= 2^53 bound still sizes
+  // nothing by it: the ring grows on demand.
+  const std::vector<std::vector<double>> batch = {
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.5}};
+  const CheckpointBlobs clean = OneStreamBlobs(stream::MonitorOptions{}, batch);
+
+  CheckpointBlobs overflowing = clean;
+  PatchWindowCapacity(&overflowing, /*skip=*/1, 40, 1ull << 60);
+  auto rejected = MonitorCodec::Deserialize(overflowing, RestoreOptions{});
+  EXPECT_FALSE(rejected.ok());
+
+  CheckpointBlobs huge = clean;
+  PatchWindowCapacity(&huge, /*skip=*/1, 40, 1ull << 46);
+  auto restored = MonitorCodec::Deserialize(huge, RestoreOptions{});
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->stream_ticks(0), 10u);
   EXPECT_TRUE(restored->PushBatch(batch).ok());

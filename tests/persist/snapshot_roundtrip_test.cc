@@ -192,7 +192,7 @@ TEST(MonitorCodecTest, RestoredMonitorContinuesIdentically) {
 
   // Feed both the SAME fresh batches: a shifted regime that forces new
   // excursions. The logs must stay bit-identical push for push — the
-  // restored detector treaps, re-arm state, and tick counters all have to
+  // restored detector trees, re-arm state, and tick counters all have to
   // agree, not just the recorded history.
   std::vector<std::vector<double>> batch(monitor.num_streams());
   for (int round = 0; round < 6; ++round) {

@@ -99,10 +99,11 @@ TEST(WorkspaceAllocTest, WarmFindExplanationSizeIntoAllocatesNothing) {
 }
 
 TEST(WorkspaceAllocTest, SteadyStatePushBatchAllocatesNothing) {
-  // Both reference modes: kExact recycles treap nodes, kSketched keeps its
-  // sorted window within the capacity AddStream reserved. The sketched
-  // leg's default sketch_k holds the whole reference, so every verdict is
-  // certified and the leg exercises the triage path alone.
+  // Both reference modes: kExact updates its detector trees in place,
+  // kSketched keeps its sorted window within the capacity AddStream
+  // reserved. The sketched leg's default sketch_k holds the whole
+  // reference, so every verdict is certified and the leg exercises the
+  // triage path alone.
   for (stream::ReferenceMode mode :
        {stream::ReferenceMode::kExact, stream::ReferenceMode::kSketched}) {
     const bool sketched = mode == stream::ReferenceMode::kSketched;
