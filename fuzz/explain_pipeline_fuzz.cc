@@ -9,8 +9,10 @@
 // fails if any path diverges from the allocation-per-call baseline in
 // status code, explanation indices, sizes, outcomes (bit-exact statistics)
 // or search counters. FindExplanationSize* must agree with the report's
-// phase-1 numbers, and EvaluateBatchPrepared must match ks::Run per window.
+// phase-1 numbers, report.after must match T \ I rebuilt by index mask and
+// std::sort, and EvaluateBatchPrepared must match ks::Run per window.
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -35,9 +37,36 @@ void CheckOutcomesIdentical(const moche::KsOutcome& a,
                    a.statistic, b.statistic);
   MOCHE_FUZZ_CHECK(SameBits(a.threshold, b.threshold),
                    "window %zu: %s threshold differs", window, what);
-  MOCHE_FUZZ_CHECK(a.reject == b.reject && a.location == b.location &&
-                       a.n == b.n && a.m == b.m,
+  // SameBits, not ==: a location of -0.0 must not pass for +0.0.
+  MOCHE_FUZZ_CHECK(SameBits(a.location, b.location),
+                   "window %zu: %s location %.17g != %.17g", window, what,
+                   a.location, b.location);
+  MOCHE_FUZZ_CHECK(a.reject == b.reject && a.n == b.n && a.m == b.m,
                    "window %zu: %s outcome fields differ", window, what);
+}
+
+// The re-check oracle: T \ I from an index mask, sorted with std::sort,
+// tested with ks::StatisticSorted. Every explain path shares the library's
+// merge-based T \ I, so only this independent rebuild can catch it.
+moche::KsOutcome MaskAndSortAfter(const std::vector<double>& sorted_reference,
+                                  const std::vector<double>& test,
+                                  double alpha,
+                                  const moche::Explanation& explanation) {
+  std::vector<unsigned char> removed(test.size(), 0);
+  for (size_t idx : explanation.indices) removed[idx] = 1;
+  std::vector<double> remaining;
+  for (size_t i = 0; i < test.size(); ++i) {
+    if (!removed[i]) remaining.push_back(test[i]);
+  }
+  std::sort(remaining.begin(), remaining.end());
+  moche::KsOutcome out;
+  out.n = sorted_reference.size();
+  out.m = remaining.size();
+  out.statistic =
+      moche::ks::StatisticSorted(sorted_reference, remaining, &out.location);
+  out.threshold = moche::ks::Threshold(alpha, out.n, out.m).value_or(0.0);
+  out.reject = out.statistic > out.threshold;
+  return out;
 }
 
 void CheckReportsIdentical(const moche::MocheReport& a,
@@ -168,6 +197,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       MOCHE_FUZZ_CHECK(base->original.reject && !base->after.reject,
                        "window %zu: reject flags wrong (original=%d after=%d)",
                        w, base->original.reject, base->after.reject);
+      CheckOutcomesIdentical(
+          base->after,
+          MaskAndSortAfter(prepared->sorted_reference(), test, alpha,
+                           base->explanation),
+          "after vs mask-and-sort", w);
     }
   }
 

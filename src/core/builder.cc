@@ -24,6 +24,15 @@ Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
                                    BuildScratch* scratch, Explanation* out) {
   MOCHE_RETURN_IF_ERROR(
       ValidatePreference(pref, test.size(), &scratch->pref_seen));
+  // The scan below looks values up only as it reaches them; this entry
+  // still rejects a test value outside the frame even when the scan would
+  // stop before it.
+  const CumulativeFrame& frame = engine.frame();
+  if (test.size() == frame.m()) {
+    for (double value : test) {
+      MOCHE_RETURN_IF_ERROR(frame.IndexOfValue(value).status());
+    }
+  }
   return internal::BuildMostComprehensiblePrevalidated(
       engine, k, test, pref, incremental_check, stats, scratch, out);
 }
@@ -38,21 +47,16 @@ Status internal::BuildMostComprehensiblePrevalidated(
     return Status::InvalidArgument("test set does not match the frame");
   }
 
-  // Map each test point to its 1-based base-vector index once.
-  std::vector<size_t>* value_index = &scratch->value_index;
   PartialExplanationChecker* checker = &scratch->checker;
-  value_index->resize(test.size());
-  for (size_t i = 0; i < test.size(); ++i) {
-    MOCHE_ASSIGN_OR_RETURN((*value_index)[i], frame.IndexOfValue(test[i]));
-  }
-
   MOCHE_RETURN_IF_ERROR(checker->Reset(engine, k));
 
   out->indices.clear();
   out->indices.reserve(k);
   for (size_t pos = 0; pos < pref.size(); ++pos) {
     const size_t t_idx = pref[pos];
-    const size_t v = (*value_index)[t_idx];
+    // Only the candidates the scan reaches are mapped to their 1-based
+    // base-vector index; it usually stops long before the end of `pref`.
+    MOCHE_ASSIGN_OR_RETURN(const size_t v, frame.IndexOfValue(test[t_idx]));
     if (stats != nullptr) ++stats->candidates_checked;
     const bool feasible = incremental_check
                               ? checker->CandidateFeasible(v)

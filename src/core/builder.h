@@ -43,13 +43,11 @@ Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
 /// reusing one BuildScratch across calls is what makes the warm scan
 /// allocation-free. ExplainWorkspace embeds one.
 struct BuildScratch {
-  std::vector<size_t> value_index;
-  PartialExplanationChecker checker;
-  std::vector<unsigned char> pref_seen;
+  PartialExplanationChecker checker;     // Theorem-3 state of the scan
+  std::vector<unsigned char> pref_seen;  // ValidatePreference's marks
 
   size_t FootprintBytes() const {
-    return value_index.capacity() * sizeof(size_t) +
-           checker.FootprintBytes() + pref_seen.capacity();
+    return checker.FootprintBytes() + pref_seen.capacity();
   }
 };
 
@@ -58,6 +56,8 @@ struct BuildScratch {
 /// allocation; the explanation is written into `out` (cleared first,
 /// capacity reused). `stats`, when non-null, is overwritten — not
 /// accumulated into. Results are identical to BuildMostComprehensible.
+/// Every test value must occur in the engine's frame: this entry checks all
+/// m of them, including those past the point where the scan stops.
 Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
                                    const std::vector<double>& test,
                                    const PreferenceList& pref,
@@ -66,12 +66,15 @@ Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
 
 namespace internal {
 
-/// The body behind BuildMostComprehensibleInto with `pref` validation as a
-/// PRECONDITION: the caller must have run ValidatePreference(pref,
-/// test.size()) already (the public entry points do; Moche's explain
-/// pipeline validates once at its entry instead of re-paying the O(m)
-/// permutation check per call). Mirrors the ks::internal::*Unchecked
-/// pattern.
+/// The body behind BuildMostComprehensibleInto with two PRECONDITIONS:
+///  * the caller has run ValidatePreference(pref, test.size()) already (the
+///    public entry points do; Moche's explain pipeline validates once at
+///    its entry instead of re-paying the O(m) permutation check per call);
+///  * `test` is the multiset the engine's frame was built from, so every
+///    value is in the base vector. The scan maps a candidate to its base
+///    index only when it reaches it, and it usually stops after a small
+///    prefix of `pref`; a foreign value past that point goes unnoticed.
+/// Mirrors the ks::internal::*Unchecked pattern.
 Status BuildMostComprehensiblePrevalidated(
     const BoundsEngine& engine, size_t k, const std::vector<double>& test,
     const PreferenceList& pref, bool incremental_check, BuildStats* stats,

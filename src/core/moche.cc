@@ -1,6 +1,8 @@
 #include "core/moche.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "core/bounds.h"
 #include "core/cumulative.h"
@@ -8,6 +10,18 @@
 #include "util/timer.h"
 
 namespace moche {
+namespace {
+
+// True when a sorted sample holds both -0.0 and +0.0: the one case where
+// two equal doubles differ in their bits.
+bool HoldsBothSignedZeros(const std::vector<double>& sorted) {
+  const auto zeros = std::equal_range(sorted.begin(), sorted.end(), 0.0);
+  const auto negative = [](double v) { return std::signbit(v); };
+  return std::any_of(zeros.first, zeros.second, negative) &&
+         !std::all_of(zeros.first, zeros.second, negative);
+}
+
+}  // namespace
 
 Result<MocheReport> Moche::Explain(const std::vector<double>& reference,
                                    const std::vector<double>& test,
@@ -143,20 +157,41 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
       &report->build_stats, &ws.build_, &report->explanation));
   report->seconds_construction = timer.Seconds();
 
-  // T \ I, built from the index mask directly (copying the reference into a
-  // KsInstance just for RemoveExplanation would cost O(n) per window).
-  ws.removed_.assign(test.size(), 0);
-  for (size_t idx : report->explanation.indices) ws.removed_[idx] = 1;
+  // T \ I, built here without sorting T again (RemoveExplanation would
+  // also copy the reference into a KsInstance, O(n) per window).
   std::vector<double>& remaining = ws.remaining_;
   remaining.clear();
   remaining.reserve(test.size() - report->explanation.size());
-  for (size_t i = 0; i < test.size(); ++i) {
-    if (!ws.removed_[i]) remaining.push_back(test[i]);
+  if (HoldsBothSignedZeros(test_sorted)) {
+    // -0.0 == +0.0, so a merge by value could drop a zero of the other
+    // sign than the explained point's; mask by index and sort instead.
+    ws.removed_.assign(test.size(), 0);
+    for (size_t idx : report->explanation.indices) ws.removed_[idx] = 1;
+    for (size_t i = 0; i < test.size(); ++i) {
+      if (!ws.removed_[i]) remaining.push_back(test[i]);
+    }
+    std::sort(remaining.begin(), remaining.end());
+  } else {
+    // Every other pair of equal doubles is bit-identical, so merging the
+    // k sorted explained values out of the sorted window gives the same
+    // array in O(m + k log k).
+    std::vector<double>& removed = ws.removed_values_;
+    removed.clear();
+    for (size_t idx : report->explanation.indices) {
+      removed.push_back(test[idx]);
+    }
+    std::sort(removed.begin(), removed.end());
+    auto from = test_sorted.cbegin();
+    for (double value : removed) {
+      const auto hit = std::lower_bound(from, test_sorted.cend(), value);
+      remaining.insert(remaining.end(), from, hit);
+      from = hit + 1;
+    }
+    remaining.insert(remaining.end(), from, test_sorted.cend());
   }
   if (remaining.empty()) {
     return Status::Internal("explanation removed the whole test set");
   }
-  std::sort(remaining.begin(), remaining.end());
   report->after.n = reference.size();
   report->after.m = remaining.size();
   report->after.statistic = ks::StatisticSortedScratch(
@@ -181,6 +216,9 @@ Status Moche::EvaluateBatchPrepared(const PreparedReference& prepared,
   }
   if (batch.width == 0) {
     return Status::InvalidArgument("batch windows must be non-empty");
+  }
+  if (batch.count > SIZE_MAX / batch.width) {
+    return Status::InvalidArgument("batch count * width overflows size_t");
   }
   if (batch.data == nullptr) {
     return Status::InvalidArgument("batch data is null");
@@ -246,6 +284,9 @@ Status Moche::EvaluateBatchSketched(
   }
   if (batch.width == 0) {
     return Status::InvalidArgument("batch windows must be non-empty");
+  }
+  if (batch.count > SIZE_MAX / batch.width) {
+    return Status::InvalidArgument("batch count * width overflows size_t");
   }
   if (batch.data == nullptr) {
     return Status::InvalidArgument("batch data is null");

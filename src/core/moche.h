@@ -117,7 +117,8 @@ class PreparedReference {
 struct WindowBatch {
   const double* data = nullptr;
   size_t count = 0;  ///< number of windows
-  size_t width = 0;  ///< observations per window (> 0 when count > 0)
+  size_t width = 0;  ///< observations per window (> 0 when count > 0);
+                     ///< count * width must fit in size_t
 };
 
 class Moche {
@@ -196,8 +197,9 @@ class Moche {
   /// ks::RunSorted(sorted_reference, sort(window), alpha) on the same data.
   /// The whole batch is finiteness-checked in one SIMD pass before any
   /// window is evaluated; InvalidArgument (and *outcomes untouched) if any
-  /// window holds a non-finite value, if count > 0 with width == 0, or if
-  /// data is null with count * width > 0. Zero-allocation once `workspace`
+  /// window holds a non-finite value, if count > 0 with width == 0, if
+  /// count * width overflows size_t, or if data is null with
+  /// count * width > 0. Zero-allocation once `workspace`
   /// and `outcomes` are warm (outcomes keeps its capacity). This is the
   /// triage half of the stream pipeline: DriftMonitor re-checks a batch of
   /// recent windows in one call, then explains only the rejecting ones.

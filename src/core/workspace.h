@@ -50,7 +50,7 @@ class ExplainWorkspace {
   /// the workspace-pool footprint.
   size_t FootprintBytes() const {
     return (reference_sorted_.capacity() + test_sorted_.capacity() +
-            remaining_.capacity()) *
+            removed_values_.capacity() + remaining_.capacity()) *
                sizeof(double) +
            removed_.capacity() + frame_.FootprintBytes() +
            engine_.FootprintBytes() + build_.FootprintBytes() +
@@ -66,8 +66,9 @@ class ExplainWorkspace {
   CumulativeFrame frame_;
   BoundsEngine engine_;
   BuildScratch build_;
-  std::vector<unsigned char> removed_;  // index mask for T \ I
-  std::vector<double> remaining_;       // T \ I, then sorted
+  std::vector<double> removed_values_;  // the explained values, sorted
+  std::vector<unsigned char> removed_;  // T \ I index mask (signed zeros)
+  std::vector<double> remaining_;       // T \ I, sorted
 };
 
 }  // namespace moche

@@ -72,6 +72,26 @@ TEST_F(PaperBuilderTest, RejectsMismatchedTest) {
   EXPECT_TRUE(expl.status().IsInvalidArgument());
 }
 
+TEST_F(PaperBuilderTest, RejectsForeignValueOutsideTheScannedPrefix) {
+  // With L = [t4, t3, t2, t1] the scan stops after three candidates and
+  // never reaches t1 ...
+  const PreferenceList pref{3, 2, 1, 0};
+  BuildStats stats;
+  ASSERT_TRUE(
+      BuildMostComprehensible(*engine_, 2, test_, pref, true, &stats).ok());
+  ASSERT_EQ(stats.candidates_checked, 3u);
+
+  // ... yet a same-size test whose t1 is not in the frame is still refused.
+  const std::vector<double> foreign{99, 13, 12, 20};
+  auto expl = BuildMostComprehensible(*engine_, 2, foreign, pref);
+  EXPECT_TRUE(expl.status().IsNotFound()) << expl.status().ToString();
+  BuildScratch scratch;
+  Explanation out;
+  EXPECT_TRUE(BuildMostComprehensibleInto(*engine_, 2, foreign, pref, true,
+                                          nullptr, &scratch, &out)
+                  .IsNotFound());
+}
+
 // The explanation is always a prefix-greedy selection: each accepted index
 // appears in preference order.
 TEST(BuilderPropertyTest, IndicesFollowPreferenceOrder) {

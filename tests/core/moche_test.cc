@@ -1,7 +1,14 @@
 #include "core/moche.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "ks/ks_test.h"
 #include "util/rng.h"
 
 namespace moche {
@@ -145,6 +152,152 @@ TEST(MocheTest, ExplanationSizeMonotoneInAlpha) {
       EXPECT_GE(size->k, prev_k) << "alpha=" << alpha;
       prev_k = size->k;
     }
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// report.after recomputed the slow way: T \ I from an index mask, sorted
+// with std::sort, tested with ks::StatisticSorted.
+void ExpectAfterMatchesMaskAndSort(const std::vector<double>& reference,
+                                   const std::vector<double>& test,
+                                   double alpha, const MocheReport& report) {
+  std::vector<double> r = reference;
+  std::sort(r.begin(), r.end());
+  std::vector<unsigned char> removed(test.size(), 0);
+  for (size_t idx : report.explanation.indices) removed[idx] = 1;
+  std::vector<double> remaining;
+  for (size_t i = 0; i < test.size(); ++i) {
+    if (!removed[i]) remaining.push_back(test[i]);
+  }
+  std::sort(remaining.begin(), remaining.end());
+  double location = 0.0;
+  const double statistic = ks::StatisticSorted(r, remaining, &location);
+  auto threshold = ks::Threshold(alpha, r.size(), remaining.size());
+  ASSERT_TRUE(threshold.ok());
+  EXPECT_TRUE(SameBits(report.after.statistic, statistic))
+      << report.after.statistic << " vs " << statistic;
+  EXPECT_TRUE(SameBits(report.after.threshold, *threshold));
+  EXPECT_TRUE(SameBits(report.after.location, location))
+      << report.after.location << " vs " << location;
+  EXPECT_EQ(report.after.m, remaining.size());
+  EXPECT_EQ(report.after.n, r.size());
+}
+
+// Zero with a random sign, so a sample holds both -0.0 and +0.0.
+double SignedZero(Rng* rng) { return rng->Bernoulli(0.5) ? -0.0 : 0.0; }
+
+bool HasBothSignedZeros(const std::vector<double>& v) {
+  const auto zero_with_sign = [&](bool negative) {
+    return std::any_of(v.begin(), v.end(), [&](double x) {
+      return x == 0.0 && std::signbit(x) == negative;
+    });
+  };
+  return zero_with_sign(true) && zero_with_sign(false);
+}
+
+// The re-check builds T \ I by merging the explained values out of the
+// sorted window, except when the window holds both signed zeros. Either way
+// report.after must equal the mask-and-sort oracle bit for bit, through both
+// workspace entry points sharing one recycled workspace.
+TEST(MocheTest, AfterOutcomeMatchesMaskAndSortBitForBit) {
+  struct Case {
+    std::string name;
+    std::vector<double> reference;
+    std::vector<double> test;
+    PreferenceList pref;
+  };
+  Rng rng(61);
+  std::vector<Case> cases;
+
+  {  // Tied and rounded data, n != m.
+    Case c{"tied_rounded", {}, {}, {}};
+    for (int i = 0; i < 240; ++i) {
+      c.reference.push_back(std::round(rng.Normal(0, 1) * 4) / 4);
+    }
+    for (int i = 0; i < 130; ++i) {
+      c.test.push_back(std::round(rng.Normal(0.7, 1.2) * 4) / 4);
+    }
+    c.pref = RandomPreference(c.test.size(), &rng);
+    cases.push_back(std::move(c));
+  }
+  // T holds both signed zeros in excess, against R without and with zeros.
+  // Only removing zeros helps, so the after-test's maximum stays at 0; with
+  // no zeros in R its location is the first zero left in T \ I, sign and
+  // all.
+  for (int variant = 0; variant < 8; ++variant) {
+    const bool reference_zeros = variant % 2 == 1;
+    Case c{reference_zeros ? "signed_zeros_r_with_zeros"
+                           : "signed_zeros_r_without_zeros",
+           {}, {}, {}};
+    for (int i = 0; i < 150; ++i) {
+      c.reference.insert(c.reference.end(), {1.0, 2.0});
+    }
+    for (int i = 0; reference_zeros && i < 30; ++i) {
+      c.reference.push_back(SignedZero(&rng));
+    }
+    for (int i = 0; i < 15; ++i) c.test.insert(c.test.end(), {1.0, 2.0});
+    for (int i = 0; i < 40; ++i) c.test.push_back(SignedZero(&rng));
+    rng.Shuffle(&c.test);
+    ASSERT_TRUE(HasBothSignedZeros(c.test));
+    ASSERT_EQ(HasBothSignedZeros(c.reference), reference_zeros);
+    c.pref = RandomPreference(c.test.size(), &rng);
+    cases.push_back(std::move(c));
+  }
+  {  // The explanation removes every copy of one value: both 8s go first.
+    Case c{"removes_every_copy", {}, {}, {}};
+    for (int v = 1; v <= 5; ++v) {
+      for (int i = 0; i < 60; ++i) c.reference.push_back(v);
+      for (int i = 0; i < 8; ++i) c.test.push_back(v);
+    }
+    for (int i = 0; i < 20; ++i) c.test.push_back(9.0);
+    c.test.push_back(8.0);
+    c.test.push_back(8.0);
+    c.pref = RandomPreference(c.test.size(), &rng);
+    std::stable_partition(c.pref.begin(), c.pref.end(),
+                          [&](size_t i) { return c.test[i] == 8.0; });
+    cases.push_back(std::move(c));
+  }
+  {  // m - k = 1: only one of five far points may stay.
+    Case c{"one_point_remains", {}, {}, {}};
+    for (int i = 0; i < 1000; ++i) c.reference.push_back(rng.Normal(0, 1));
+    c.test = {50.0, 51.0, 50.0, 52.0, 53.0};
+    c.pref = RandomPreference(c.test.size(), &rng);
+    cases.push_back(std::move(c));
+  }
+
+  const double alpha = 0.05;
+  const Moche engine;
+  ExplainWorkspace workspace;
+  MocheReport report;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto prepared = engine.Prepare(c.reference, alpha);
+    ASSERT_TRUE(prepared.ok());
+    ASSERT_TRUE(engine
+                    .ExplainInto(c.reference, c.test, alpha, c.pref,
+                                 &workspace, &report)
+                    .ok());
+    ExpectAfterMatchesMaskAndSort(c.reference, c.test, alpha, report);
+    const std::vector<size_t> indices = report.explanation.indices;
+
+    if (c.name == "removes_every_copy") {
+      ASSERT_GE(indices.size(), 2u);
+      EXPECT_EQ(c.test[indices[0]], 8.0);
+      EXPECT_EQ(c.test[indices[1]], 8.0);
+    } else if (c.name == "one_point_remains") {
+      EXPECT_EQ(report.k, c.test.size() - 1);
+    }
+    EXPECT_NE(c.reference.size(), c.test.size());
+
+    ASSERT_TRUE(engine
+                    .ExplainPreparedInto(*prepared, c.test, c.pref,
+                                         &workspace, &report)
+                    .ok());
+    EXPECT_EQ(report.explanation.indices, indices);
+    ExpectAfterMatchesMaskAndSort(c.reference, c.test, alpha, report);
   }
 }
 

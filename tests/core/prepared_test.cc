@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/moche.h"
+#include "sketch/sketched_reference.h"
 #include "util/rng.h"
 
 namespace moche {
@@ -167,6 +168,35 @@ TEST(WindowBatchTest, ValidatesBatchShapeAndContents) {
                   .EvaluateBatchPrepared(*prepared, WindowBatch{bad, 2, 2},
                                          &workspace, &outcomes)
                   .IsInvalidArgument());
+}
+
+TEST(WindowBatchTest, RejectsOverflowingShape) {
+  // count * width wraps to 0 in size_t: the finiteness scan would cover
+  // nothing and the per-window loop would run off the buffer.
+  const Moche engine;
+  const std::vector<double> reference{1.0, 2.0, 3.0, 4.0};
+  auto prepared = engine.Prepare(reference, 0.05);
+  ASSERT_TRUE(prepared.ok());
+  auto sketched = sketch::SketchedReference::FromSample(reference, 0.05);
+  ASSERT_TRUE(sketched.ok());
+  const double data[2] = {1.0, 2.0};
+  const size_t half = std::numeric_limits<size_t>::max() / 2 + 1;
+  ExplainWorkspace workspace;
+  for (const WindowBatch& batch :
+       {WindowBatch{data, half, 2}, WindowBatch{data, 2, half}}) {
+    std::vector<KsOutcome> outcomes(1);
+    EXPECT_TRUE(engine
+                    .EvaluateBatchPrepared(*prepared, batch, &workspace,
+                                           &outcomes)
+                    .IsInvalidArgument());
+    EXPECT_EQ(outcomes.size(), 1u);  // untouched
+    std::vector<sketch::SketchTriage> triages(1);
+    EXPECT_TRUE(engine
+                    .EvaluateBatchSketched(*sketched, batch, &workspace,
+                                           &triages)
+                    .IsInvalidArgument());
+    EXPECT_EQ(triages.size(), 1u);
+  }
 }
 
 TEST(PreparedReferenceTest, AlreadyPassingAndValidationErrors) {

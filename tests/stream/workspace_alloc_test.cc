@@ -46,6 +46,10 @@ TEST(WorkspaceAllocTest, WarmExplainPreparedIntoAllocatesNothing) {
     windows.push_back(NormalSample(&rng, kWindowSize, 1.2, 1.1));
     prefs.push_back(RandomPreference(kWindowSize, &rng));
   }
+  // One window holds both signed zeros, so its re-check builds T \ I by
+  // index mask and sort instead of by merge; that path must be warm too.
+  windows.back()[0] = -0.0;
+  windows.back()[1] = 0.0;
 
   ExplainWorkspace workspace;
   MocheReport report;
