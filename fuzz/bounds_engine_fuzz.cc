@@ -8,8 +8,11 @@
 // target also checks completeness (engine says exists => brute force finds
 // one), Theorem 2's necessity (qualified h-subset exists => the Equation 5
 // condition holds), SizeScan's bit-identity to the stateless check under
-// arbitrary probe orders, and that ConstructQualifiedVector's witness is a
-// genuine sub-multiset of T of the requested size.
+// arbitrary probe orders, that ConstructQualifiedVector's witness is a
+// genuine sub-multiset of T of the requested size, and that the phase-2
+// checker's closed-form Theorem-3 check agrees with the paper's full
+// recursion on every candidate of a greedy scan (it draws no input bytes,
+// so the committed corpus keeps its meaning).
 
 #include <cstdint>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "core/brute_force.h"
 #include "core/cumulative.h"
 #include "core/instance.h"
+#include "core/partial.h"
 #include "fuzz_target.h"
 #include "provider.h"
 
@@ -117,5 +121,32 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   MOCHE_FUZZ_CHECK(scan.probe_refutations() + scan.full_scans() == probes,
                    "SizeScan counters %zu + %zu do not cover %zu probes",
                    scan.probe_refutations(), scan.full_scans(), probes);
+
+  // Phase 2 at every feasible size: scan base indices in order, offering
+  // each value one more time than T holds it (so the multiplicity limit is
+  // hit), and accept whenever feasible. The closed form must equal the full
+  // recursion on every offer, and the scan must fill the explanation.
+  moche::PartialExplanationChecker checker;
+  for (size_t h = 1; h < m; ++h) {
+    if (!exists[h]) continue;
+    const moche::Status reset = checker.Reset(engine, h);
+    MOCHE_FUZZ_CHECK(reset.ok(),
+                     "checker rejects h=%zu where Theorem 1 accepts: %s", h,
+                     reset.message().c_str());
+    for (size_t v = 1; v <= frame->q(); ++v) {
+      for (int64_t copy = 0; copy <= frame->CountT(v); ++copy) {
+        const bool closed = checker.CandidateFeasible(v);
+        const bool full = checker.CandidateFeasibleFull(v);
+        MOCHE_FUZZ_CHECK(closed == full,
+                         "h=%zu v=%zu after %zu accepts: closed form says "
+                         "%d, full recursion %d",
+                         h, v, checker.accepted_count(), closed, full);
+        if (closed && checker.accepted_count() < h) checker.Accept(v);
+      }
+    }
+    MOCHE_FUZZ_CHECK(checker.accepted_count() == h,
+                     "greedy scan accepted %zu of h=%zu points",
+                     checker.accepted_count(), h);
+  }
   return 0;
 }

@@ -23,13 +23,15 @@ namespace moche {
 /// Counters for the construction scan (reported by the micro benches).
 struct BuildStats {
   size_t candidates_checked = 0;  ///< Theorem 3 evaluations performed
-  size_t recursion_steps = 0;     ///< total backward-recursion steps
+  /// Checker work: tree nodes visited by the closed-form checks and the
+  /// accepts, plus steps of the full recursion when it is selected.
+  size_t recursion_steps = 0;
 };
 
 /// Runs Algorithm 1. `test` is the instance's test set in original order;
 /// `pref` the preference list; `k` the size found by phase 1.
-/// With `incremental_check` false, every Theorem 3 evaluation uses the
-/// paper-faithful full O(q) recursion.
+/// Each Theorem 3 evaluation is the O(log m) closed form; with
+/// `incremental_check` false it is the paper-faithful full O(q) recursion.
 /// Returns the explanation as indices into `test`, listed in `pref` order.
 Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             size_t k,

@@ -62,7 +62,9 @@ class Enumerator {
     }
     // Include branch first: lexicographically smaller completions.
     if (checker->CandidateFeasible(v)) {
-      PartialExplanationChecker branch = *checker;  // O(q) state copy
+      // O(q) copy: the bounds and the run map come along with the O(m)
+      // tree and counts that the branch's Accept changes.
+      PartialExplanationChecker branch = *checker;
       branch.Accept(v);
       chosen->push_back(t_idx);
       MOCHE_RETURN_IF_ERROR(Dfs(pos + 1, &branch, chosen));

@@ -49,9 +49,10 @@ struct MocheOptions {
   /// the paper's MOCHE_ns ablation (Figure 5).
   bool use_lower_bound = true;
 
-  /// Incremental Theorem 3 checks in phase 2 (our optimization). Disabling
-  /// uses the paper-faithful O(q)-per-candidate recursion. Both modes return
-  /// identical explanations.
+  /// Closed-form Theorem 3 checks in phase 2 (our optimization): O(log m)
+  /// per candidate on a range-add tree over T's value runs (core/partial.h).
+  /// Disabling uses the paper-faithful O(q)-per-candidate recursion. Both
+  /// modes return identical explanations.
   bool incremental_partial_check = true;
 
   /// Re-run the KS test on R vs T \ I before returning (cheap insurance;
