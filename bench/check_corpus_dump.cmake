@@ -1,5 +1,5 @@
 # Identity-corpus gate, run by the corpus_dump_md5 ctest entry
-# (bench/CMakeLists.txt): writes the bench_corpus_dump corpus and fails
+# (tests/CMakeLists.txt): writes the bench_corpus_dump corpus and fails
 # unless its MD5 (the digest `cmake -E md5sum` prints) equals the committed
 # value.
 #

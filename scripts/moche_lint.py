@@ -11,8 +11,8 @@ contracts"):
                    bypass the deterministic ParallelFor contract (task i
                    writes slot i) that makes parallel output bit-identical
                    to sequential.
-  float-format     Files that write machine-readable artifacts (BENCH_*.json,
-                   the identity corpus, CSV exports) must format doubles
+  float-format     Files that write machine-readable artifacts (the
+                   identity corpus, snapshots, CSV) must format doubles
                    through FormatG17/AppendG17/FormatFixed
                    (util/string_util.h). printf-family "%g"/"%f" and
                    operator<< honor LC_NUMERIC, so a comma-decimal locale
@@ -53,7 +53,7 @@ Suppressions:
   * File-level, in the config file (scripts/moche_lint.conf):
         allow sort-doubles src/util/stats.cc -- NaN screened before every sort
     The config also declares which files are artifact writers:
-        artifact-writer src/harness/export.cc
+        artifact-writer src/util/csv.cc
 
 Exit codes: 0 = clean, 1 = violations found, 2 = usage/config error.
 """

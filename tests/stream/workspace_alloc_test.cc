@@ -1,6 +1,9 @@
-// The zero-allocation contract of the explain pipeline (ISSUE 5):
+// The zero-allocation contract of the explain pipeline:
 //  * a warmed-up Moche::ExplainPreparedInto call performs no heap
 //    allocation when the caller recycles its workspace and report;
+//  * a warmed-up Moche::EvaluateBatchPrepared or EvaluateBatchSketched
+//    call performs none when the caller recycles its workspace and
+//    output vector;
 //  * a warmed-up sequential DriftMonitor::PushBatch that fires no drift
 //    event performs no heap allocation at all.
 //
@@ -12,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "core/moche.h"
+#include "sketch/kll_sketch.h"
+#include "sketch/sketched_reference.h"
 #include "stream/drift_monitor.h"
 #include "testing_alloc.h"
 #include "util/rng.h"
@@ -76,6 +81,93 @@ TEST(WorkspaceAllocTest, WarmExplainPreparedIntoAllocatesNothing) {
   EXPECT_EQ(failures, 0u);
   EXPECT_EQ(allocations, 0u)
       << "warmed-up ExplainPreparedInto must be allocation-free";
+}
+
+// Two flat SoA batches of the same shape: windows alternate between the
+// reference's distribution and a shifted one, so both KS verdicts occur.
+constexpr size_t kBatchWindows = 32;
+constexpr size_t kBatchWidth = 200;
+
+std::vector<double> FlatBatch(Rng* rng) {
+  std::vector<double> data;
+  data.reserve(kBatchWindows * kBatchWidth);
+  for (size_t w = 0; w < kBatchWindows; ++w) {
+    const double shift = w % 2 == 0 ? 0.0 : 0.8;
+    for (size_t j = 0; j < kBatchWidth; ++j) {
+      data.push_back(rng->Normal(shift, 1.0));
+    }
+  }
+  return data;
+}
+
+WindowBatch View(const std::vector<double>& data) {
+  return WindowBatch{data.data(), kBatchWindows, kBatchWidth};
+}
+
+// Warms `evaluate` on one batch, then requires re-running it on that batch
+// and on a fresh batch of the same shape to allocate nothing.
+template <typename Evaluate>
+void ExpectWarmBatchAllocatesNothing(Rng* rng, const Evaluate& evaluate,
+                                     const char* what) {
+  const std::vector<double> warm_data = FlatBatch(rng);
+  const std::vector<double> steady_data = FlatBatch(rng);
+  ASSERT_TRUE(evaluate(View(warm_data)).ok());
+
+  size_t failures = 0;
+  AllocationProbe probe;
+  for (const std::vector<double>* data : {&warm_data, &steady_data}) {
+    failures += !evaluate(View(*data)).ok();
+  }
+  const size_t allocations = probe.Delta();
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(allocations, 0u)
+      << "warmed-up " << what << " must be allocation-free";
+}
+
+TEST(WorkspaceAllocTest, WarmEvaluateBatchPreparedAllocatesNothing) {
+  Rng rng(5150);
+  const std::vector<double> reference = NormalSample(&rng, 4000, 0.0, 1.0);
+  const Moche engine;
+  auto prepared = engine.Prepare(reference, 0.05);
+  ASSERT_TRUE(prepared.ok());
+
+  ExplainWorkspace workspace;
+  std::vector<KsOutcome> outcomes;
+  ExpectWarmBatchAllocatesNothing(
+      &rng,
+      [&](const WindowBatch& batch) {
+        return engine.EvaluateBatchPrepared(*prepared, batch, &workspace,
+                                            &outcomes);
+      },
+      "EvaluateBatchPrepared");
+  ASSERT_EQ(outcomes.size(), kBatchWindows);
+  EXPECT_FALSE(outcomes[0].reject);
+  EXPECT_TRUE(outcomes[1].reject);
+}
+
+TEST(WorkspaceAllocTest, WarmEvaluateBatchSketchedAllocatesNothing) {
+  Rng rng(6160);
+  const std::vector<double> reference = NormalSample(&rng, 4000, 0.0, 1.0);
+  const Moche engine;
+  // A coarse sketch, so the summary is much smaller than the reference.
+  sketch::KllOptions kll_options;
+  kll_options.capacity = 128;
+  auto sketched =
+      sketch::SketchedReference::FromSample(reference, 0.05, kll_options);
+  ASSERT_TRUE(sketched.ok());
+
+  ExplainWorkspace workspace;
+  std::vector<sketch::SketchTriage> triages;
+  ExpectWarmBatchAllocatesNothing(
+      &rng,
+      [&](const WindowBatch& batch) {
+        return engine.EvaluateBatchSketched(*sketched, batch, &workspace,
+                                            &triages);
+      },
+      "EvaluateBatchSketched");
+  ASSERT_EQ(triages.size(), kBatchWindows);
+  EXPECT_NE(triages[0].verdict, sketch::TriageVerdict::kCertainFail);
+  EXPECT_EQ(triages[1].verdict, sketch::TriageVerdict::kCertainFail);
 }
 
 TEST(WorkspaceAllocTest, WarmFindExplanationSizeIntoAllocatesNothing) {

@@ -1,7 +1,5 @@
 // A counting global operator new: the fixture behind the zero-allocation
-// regression tests, and — via the thin bench/alloc_probe.h wrapper — the
-// benches' `expl.steady_allocs` metric. Single source of truth for the
-// replacement allocator set.
+// regression tests (tests/stream/workspace_alloc_test.cc).
 //
 // Including this header DEFINES the program-wide replaceable allocation
 // functions, so it must be included from exactly ONE translation unit per
