@@ -46,13 +46,6 @@ namespace moche {
 int64_t CeilTol(double x);
 int64_t FloorTol(double x);
 
-/// Per-coordinate bounds of Equation 4 for one subset size h.
-/// Entry 0 is the constant C[0] = 0 (l[0] = u[0] = 0).
-struct BoundsVectors {
-  std::vector<int64_t> lower;  // length q+1
-  std::vector<int64_t> upper;  // length q+1
-};
-
 class BoundsEngine {
  public:
   /// An unbound engine: every query requires a Reset (or the binding
@@ -76,12 +69,10 @@ class BoundsEngine {
   /// Gamma(i,h) = C_T[i] - ((m-h)/n) * C_R[i], i in [1, q].
   double Gamma(size_t i, size_t h) const;
 
-  /// The closed-form bounds of Equation 4 for subset size h.
-  BoundsVectors ComputeBounds(size_t h) const;
-
-  /// As ComputeBounds, writing into caller-owned vectors (assign-style, so
-  /// reused vectors keep their capacity). `lower` and `upper` end up with
-  /// length q+1.
+  /// The closed-form bounds l^h and u^h of Equation 4, written into
+  /// caller-owned vectors (assign-style, so reused vectors keep their
+  /// capacity). `lower` and `upper` end up with length q+1; entry 0 is the
+  /// constant C[0] = 0 (l_0 = u_0 = 0).
   void ComputeBoundsInto(size_t h, std::vector<int64_t>* lower,
                          std::vector<int64_t>* upper) const;
 

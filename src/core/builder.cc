@@ -11,30 +11,21 @@ Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             bool incremental_check,
                                             BuildStats* stats) {
   BuildScratch scratch;
-  Explanation expl;
-  MOCHE_RETURN_IF_ERROR(BuildMostComprehensibleInto(
-      engine, k, test, pref, incremental_check, stats, &scratch, &expl));
-  return expl;
-}
-
-Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
-                                   const std::vector<double>& test,
-                                   const PreferenceList& pref,
-                                   bool incremental_check, BuildStats* stats,
-                                   BuildScratch* scratch, Explanation* out) {
   MOCHE_RETURN_IF_ERROR(
-      ValidatePreference(pref, test.size(), &scratch->pref_seen));
-  // The scan below looks values up only as it reaches them; this entry
-  // still rejects a test value outside the frame even when the scan would
-  // stop before it.
+      ValidatePreference(pref, test.size(), &scratch.pref_seen));
+  // The scan looks values up only as it reaches them; this entry still
+  // rejects a test value outside the frame even when the scan would stop
+  // before it.
   const CumulativeFrame& frame = engine.frame();
   if (test.size() == frame.m()) {
     for (double value : test) {
       MOCHE_RETURN_IF_ERROR(frame.IndexOfValue(value).status());
     }
   }
-  return internal::BuildMostComprehensiblePrevalidated(
-      engine, k, test, pref, incremental_check, stats, scratch, out);
+  Explanation expl;
+  MOCHE_RETURN_IF_ERROR(internal::BuildMostComprehensiblePrevalidated(
+      engine, k, test, pref, incremental_check, stats, &scratch, &expl));
+  return expl;
 }
 
 Status internal::BuildMostComprehensiblePrevalidated(

@@ -20,7 +20,7 @@
 
 namespace moche {
 
-/// Counters for the construction scan (reported by the micro benches).
+/// Counters for the construction scan (MocheReport::build_stats).
 struct BuildStats {
   size_t candidates_checked = 0;  ///< Theorem 3 evaluations performed
   /// Checker work: tree nodes visited by the closed-form checks and the
@@ -33,6 +33,9 @@ struct BuildStats {
 /// Each Theorem 3 evaluation is the O(log m) closed form; with
 /// `incremental_check` false it is the paper-faithful full O(q) recursion.
 /// Returns the explanation as indices into `test`, listed in `pref` order.
+/// Checks its inputs first: `pref` must be a permutation of [0, m), and
+/// every test value must occur in the engine's frame, including those past
+/// the point where the scan stops.
 Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             size_t k,
                                             const std::vector<double>& test,
@@ -40,10 +43,10 @@ Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             bool incremental_check = true,
                                             BuildStats* stats = nullptr);
 
-/// Caller-owned scratch for BuildMostComprehensibleInto. Members are
-/// rebuilt in place on every call (internal state, do not interpret);
-/// reusing one BuildScratch across calls is what makes the warm scan
-/// allocation-free. ExplainWorkspace embeds one.
+/// Caller-owned scratch for the construction scan. Members are rebuilt in
+/// place on every call (internal state, do not interpret); reusing one
+/// BuildScratch across calls is what makes the warm scan allocation-free.
+/// ExplainWorkspace embeds one.
 struct BuildScratch {
   PartialExplanationChecker checker;     // Theorem-3 state of the scan
   std::vector<unsigned char> pref_seen;  // ValidatePreference's marks
@@ -53,25 +56,15 @@ struct BuildScratch {
   }
 };
 
-/// As BuildMostComprehensible, borrowing caller-owned scratch so a warm
-/// caller (the ExplainWorkspace hot path) runs the scan without heap
-/// allocation; the explanation is written into `out` (cleared first,
-/// capacity reused). `stats`, when non-null, is overwritten — not
-/// accumulated into. Results are identical to BuildMostComprehensible.
-/// Every test value must occur in the engine's frame: this entry checks all
-/// m of them, including those past the point where the scan stops.
-Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
-                                   const std::vector<double>& test,
-                                   const PreferenceList& pref,
-                                   bool incremental_check, BuildStats* stats,
-                                   BuildScratch* scratch, Explanation* out);
-
 namespace internal {
 
-/// The body behind BuildMostComprehensibleInto with two PRECONDITIONS:
-///  * the caller has run ValidatePreference(pref, test.size()) already (the
-///    public entry points do; Moche's explain pipeline validates once at
-///    its entry instead of re-paying the O(m) permutation check per call);
+/// The workspace hot path behind BuildMostComprehensible: borrows
+/// caller-owned scratch so a warm caller runs the scan without heap
+/// allocation, and writes the explanation into `out` (cleared first,
+/// capacity reused). `stats`, when non-null, is overwritten — not
+/// accumulated into. Two PRECONDITIONS replace the public entry's checks:
+///  * the caller has run ValidatePreference(pref, test.size()) already
+///    (Moche's explain pipeline validates once at its entry);
 ///  * `test` is the multiset the engine's frame was built from, so every
 ///    value is in the base vector. The scan maps a candidate to its base
 ///    index only when it reaches it, and it usually stops after a small

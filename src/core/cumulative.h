@@ -32,29 +32,16 @@ class CumulativeFrame {
   CumulativeFrame() = default;
 
   /// Builds the base vector and the cumulative vectors of R and T.
-  /// Fails when either multiset is empty.
+  /// Fails when either multiset is empty or holds a non-finite value.
   static Result<CumulativeFrame> Build(const std::vector<double>& r,
                                        const std::vector<double>& t);
 
-  /// As Build, for inputs already sorted ascending: skips the two sorts and
-  /// the copies. Fails when a multiset is empty or not sorted.
-  static Result<CumulativeFrame> BuildFromSorted(
-      const std::vector<double>& r_sorted,
-      const std::vector<double>& t_sorted);
-
-  /// As BuildFromSorted but with preconditions (non-empty, finite, sorted)
-  /// checked by MOCHE_DCHECK only. The prepared-instance hot path (one
-  /// reference sample validated and sorted once by Moche::Prepare, tested
-  /// against many windows) calls this per window so the per-call cost has
-  /// no redundant O(n) re-validation of the reference.
-  static Result<CumulativeFrame> BuildFromSortedUnchecked(
-      const std::vector<double>& r_sorted,
-      const std::vector<double>& t_sorted);
-
-  /// As BuildFromSortedUnchecked, but rebuilds `out` in place, reusing its
-  /// existing array capacity: a frame cycled through many same-sized
-  /// instances stops allocating once warm. This is the ExplainWorkspace hot
-  /// path; results are identical to BuildFromSortedUnchecked.
+  /// The hot path behind Build: rebuilds `out` in place from inputs that
+  /// are non-empty, finite and sorted ascending (checked by MOCHE_DCHECK
+  /// only), reusing its array capacity. A frame cycled through many
+  /// same-sized instances stops allocating once warm; the ExplainWorkspace
+  /// pipeline calls this per window so the per-call cost has no redundant
+  /// O(n) re-validation of a prepared reference.
   static void BuildFromSortedUncheckedInto(
       const std::vector<double>& r_sorted,
       const std::vector<double>& t_sorted, CumulativeFrame* out);

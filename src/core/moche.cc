@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/bounds.h"
 #include "core/cumulative.h"
 #include "util/simd.h"
-#include "util/timer.h"
 
 namespace moche {
 namespace {
@@ -19,6 +17,60 @@ bool HoldsBothSignedZeros(const std::vector<double>& sorted) {
   const auto negative = [](double v) { return std::signbit(v); };
   return std::any_of(zeros.first, zeros.second, negative) &&
          !std::all_of(zeros.first, zeros.second, negative);
+}
+
+// Copies `size` doubles from `data` into *sorted (capacity reused) and
+// sorts them. The caller has checked that every value is finite.
+void SortedCopyInto(const double* data, size_t size,
+                    std::vector<double>* sorted) {
+  sorted->assign(data, data + size);
+  std::sort(sorted->begin(), sorted->end());
+}
+
+// ks::ValidateSample, then SortedCopyInto.
+Status ValidatedSortedCopyInto(const std::vector<double>& sample,
+                               const char* name,
+                               std::vector<double>* sorted) {
+  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(sample, name));
+  SortedCopyInto(sample.data(), sample.size(), sorted);
+  return Status::OK();
+}
+
+// The KS test of two validated, sorted, non-empty samples; bit-identical
+// to ks::RunSorted, with the sweep merged into `sweep`.
+KsOutcome SortedOutcome(const std::vector<double>& reference,
+                        const std::vector<double>& test_sorted, double alpha,
+                        ks::KsSweepScratch* sweep) {
+  KsOutcome out;
+  out.n = reference.size();
+  out.m = test_sorted.size();
+  out.statistic =
+      ks::StatisticSortedScratch(reference, test_sorted, sweep, &out.location);
+  out.threshold = ks::internal::ThresholdUnchecked(alpha, out.n, out.m);
+  out.reject = out.statistic > out.threshold;
+  return out;
+}
+
+// The checks both batch entry points share. An empty batch is valid;
+// otherwise the shape must be sound and every value finite, checked in one
+// flat SIMD pass over count * width doubles so the vector lanes stay full
+// instead of paying per-window ramp-up and tail handling count times.
+Status ValidateBatch(const WindowBatch& batch) {
+  if (batch.count == 0) return Status::OK();
+  if (batch.width == 0) {
+    return Status::InvalidArgument("batch windows must be non-empty");
+  }
+  if (batch.count > SIZE_MAX / batch.width) {
+    return Status::InvalidArgument("batch count * width overflows size_t");
+  }
+  if (batch.data == nullptr) {
+    return Status::InvalidArgument("batch data is null");
+  }
+  if (!simd::ActiveKernels().all_finite(batch.data,
+                                        batch.count * batch.width)) {
+    return Status::InvalidArgument("test window contains a non-finite value");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -70,16 +122,6 @@ Result<PreparedReference> PreparedReference::DeserializeFrom(
   return prepared;
 }
 
-Result<MocheReport> Moche::ExplainPrepared(
-    const PreparedReference& prepared, const std::vector<double>& test,
-    const PreferenceList& preference) const {
-  ExplainWorkspace workspace;
-  MocheReport report;
-  MOCHE_RETURN_IF_ERROR(
-      ExplainPreparedInto(prepared, test, preference, &workspace, &report));
-  return report;
-}
-
 Status Moche::ExplainPreparedInto(const PreparedReference& prepared,
                                   const std::vector<double>& test,
                                   const PreferenceList& preference,
@@ -94,13 +136,34 @@ Status Moche::ExplainInto(const std::vector<double>& reference,
                           const PreferenceList& preference,
                           ExplainWorkspace* workspace,
                           MocheReport* report) const {
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
+  MOCHE_RETURN_IF_ERROR(ValidatedSortedCopyInto(
+      reference, "reference set", &workspace->reference_sorted_));
   MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
-  std::vector<double>& sorted = workspace->reference_sorted_;
-  sorted.assign(reference.begin(), reference.end());
-  std::sort(sorted.begin(), sorted.end());
-  return ExplainSortedInto(sorted, alpha, test, preference, workspace,
-                           report);
+  return ExplainSortedInto(workspace->reference_sorted_, alpha, test,
+                           preference, workspace, report);
+}
+
+Result<SizeSearchResult> Moche::SearchSizeInto(
+    const std::vector<double>& sorted_reference, double alpha,
+    const std::vector<double>& test, ExplainWorkspace* workspace,
+    KsOutcome* original) const {
+  ExplainWorkspace& ws = *workspace;
+  // Per-call validation covers only the test window; the reference and
+  // alpha were validated (and R sorted) by the caller, so the per-window
+  // cost carries no redundant O(n) re-scans of the reference.
+  MOCHE_RETURN_IF_ERROR(
+      ValidatedSortedCopyInto(test, "test set", &ws.test_sorted_));
+  const KsOutcome outcome =
+      SortedOutcome(sorted_reference, ws.test_sorted_, alpha, &ws.ks_sweep_);
+  if (!outcome.reject) {
+    return Status::AlreadyPasses(
+        "R and T pass the KS test; there is nothing to explain");
+  }
+  *original = outcome;
+  CumulativeFrame::BuildFromSortedUncheckedInto(sorted_reference,
+                                                ws.test_sorted_, &ws.frame_);
+  ws.engine_.Reset(ws.frame_, alpha);
+  return SizeSearcher(ws.engine_).FindSize(options_.use_lower_bound);
 }
 
 Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
@@ -111,54 +174,22 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
   ExplainWorkspace& ws = *workspace;
   MOCHE_RETURN_IF_ERROR(
       ValidatePreference(preference, test.size(), &ws.build_.pref_seen));
-  const std::vector<double>& reference = sorted_reference;
-
-  // Per-call validation covers only the test window; the reference and
-  // alpha were validated (and R sorted) by the caller, so the per-window
-  // cost carries no redundant O(n) re-scans of the reference.
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
-  std::vector<double>& test_sorted = ws.test_sorted_;
-  test_sorted.assign(test.begin(), test.end());
-  std::sort(test_sorted.begin(), test_sorted.end());
-
-  KsOutcome original;
-  original.n = reference.size();
-  original.m = test_sorted.size();
-  original.statistic = ks::StatisticSortedScratch(
-      reference, test_sorted, &ws.ks_sweep_, &original.location);
-  original.threshold =
-      ks::internal::ThresholdUnchecked(alpha, original.n, original.m);
-  original.reject = original.statistic > original.threshold;
-  if (!original.reject) {
-    return Status::AlreadyPasses(
-        "R and T pass the KS test; there is nothing to explain");
-  }
-
-  report->original = original;
-
-  CumulativeFrame::BuildFromSortedUncheckedInto(reference, test_sorted,
-                                                &ws.frame_);
-  ws.engine_.Reset(ws.frame_, alpha);
-  const BoundsEngine& engine = ws.engine_;
-
-  WallTimer timer;
-  const SizeSearcher searcher(engine);
   MOCHE_ASSIGN_OR_RETURN(report->size_stats,
-                         searcher.FindSize(options_.use_lower_bound));
+                         SearchSizeInto(sorted_reference, alpha, test,
+                                        workspace, &report->original));
   report->k = report->size_stats.k;
   report->k_hat = report->size_stats.k_hat;
-  report->seconds_size_search = timer.Seconds();
 
-  timer.Restart();
   // Prevalidated variant: the preference permutation check already ran at
-  // this function's entry; no need to re-pay it per call.
+  // this function's entry, and the frame was built from `test` itself.
   MOCHE_RETURN_IF_ERROR(internal::BuildMostComprehensiblePrevalidated(
-      engine, report->k, test, preference, options_.incremental_partial_check,
-      &report->build_stats, &ws.build_, &report->explanation));
-  report->seconds_construction = timer.Seconds();
+      ws.engine_, report->k, test, preference,
+      options_.incremental_partial_check, &report->build_stats, &ws.build_,
+      &report->explanation));
 
   // T \ I, built here without sorting T again (RemoveExplanation would
   // also copy the reference into a KsInstance, O(n) per window).
+  const std::vector<double>& test_sorted = ws.test_sorted_;
   std::vector<double>& remaining = ws.remaining_;
   remaining.clear();
   remaining.reserve(test.size() - report->explanation.size());
@@ -192,13 +223,8 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
   if (remaining.empty()) {
     return Status::Internal("explanation removed the whole test set");
   }
-  report->after.n = reference.size();
-  report->after.m = remaining.size();
-  report->after.statistic = ks::StatisticSortedScratch(
-      reference, remaining, &ws.ks_sweep_, &report->after.location);
-  report->after.threshold = ks::internal::ThresholdUnchecked(
-      alpha, report->after.n, report->after.m);
-  report->after.reject = report->after.statistic > report->after.threshold;
+  report->after =
+      SortedOutcome(sorted_reference, remaining, alpha, &ws.ks_sweep_);
   if (options_.validate_result && report->after.reject) {
     return Status::Internal(
         "constructed explanation does not reverse the KS test");
@@ -210,43 +236,15 @@ Status Moche::EvaluateBatchPrepared(const PreparedReference& prepared,
                                     const WindowBatch& batch,
                                     ExplainWorkspace* workspace,
                                     std::vector<KsOutcome>* outcomes) const {
-  if (batch.count == 0) {
-    outcomes->clear();
-    return Status::OK();
-  }
-  if (batch.width == 0) {
-    return Status::InvalidArgument("batch windows must be non-empty");
-  }
-  if (batch.count > SIZE_MAX / batch.width) {
-    return Status::InvalidArgument("batch count * width overflows size_t");
-  }
-  if (batch.data == nullptr) {
-    return Status::InvalidArgument("batch data is null");
-  }
-  // One flat finiteness scan over the whole batch: count * width doubles in
-  // a single kernel call, so the SIMD lanes stay full instead of paying
-  // per-window ramp-up and tail handling count times.
-  if (!simd::ActiveKernels().all_finite(batch.data,
-                                        batch.count * batch.width)) {
-    return Status::InvalidArgument("test window contains a non-finite value");
-  }
-  const std::vector<double>& reference = prepared.sorted_reference_;
-  const double threshold = ks::internal::ThresholdUnchecked(
-      prepared.alpha_, reference.size(), batch.width);
+  MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
   outcomes->resize(batch.count);
   ExplainWorkspace& ws = *workspace;
   for (size_t w = 0; w < batch.count; ++w) {
-    const double* window = batch.data + w * batch.width;
-    std::vector<double>& test_sorted = ws.test_sorted_;
-    test_sorted.assign(window, window + batch.width);
-    std::sort(test_sorted.begin(), test_sorted.end());
-    KsOutcome& out = (*outcomes)[w];
-    out.n = reference.size();
-    out.m = batch.width;
-    out.statistic = ks::StatisticSortedScratch(reference, test_sorted,
-                                               &ws.ks_sweep_, &out.location);
-    out.threshold = threshold;  // same n, m, alpha for every window
-    out.reject = out.statistic > out.threshold;
+    SortedCopyInto(batch.data + w * batch.width, batch.width,
+                   &ws.test_sorted_);
+    (*outcomes)[w] = SortedOutcome(prepared.sorted_reference_,
+                                   ws.test_sorted_, prepared.alpha_,
+                                   &ws.ks_sweep_);
   }
   return Status::OK();
 }
@@ -265,10 +263,9 @@ Status Moche::TriageSketchedInto(const sketch::SketchedReference& sketched,
                                  const std::vector<double>& test,
                                  ExplainWorkspace* workspace,
                                  sketch::SketchTriage* triage) const {
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
   std::vector<double>& test_sorted = workspace->test_sorted_;
-  test_sorted.assign(test.begin(), test.end());
-  std::sort(test_sorted.begin(), test_sorted.end());
+  MOCHE_RETURN_IF_ERROR(
+      ValidatedSortedCopyInto(test, "test set", &test_sorted));
   *triage = sketched.Classify(sketched.StatisticAgainstSorted(test_sorted),
                               test_sorted.size());
   return Status::OK();
@@ -278,35 +275,11 @@ Status Moche::EvaluateBatchSketched(
     const sketch::SketchedReference& sketched, const WindowBatch& batch,
     ExplainWorkspace* workspace,
     std::vector<sketch::SketchTriage>* triages) const {
-  if (batch.count == 0) {
-    triages->clear();
-    return Status::OK();
-  }
-  if (batch.width == 0) {
-    return Status::InvalidArgument("batch windows must be non-empty");
-  }
-  if (batch.count > SIZE_MAX / batch.width) {
-    return Status::InvalidArgument("batch count * width overflows size_t");
-  }
-  if (batch.data == nullptr) {
-    return Status::InvalidArgument("batch data is null");
-  }
-  // Same flat finiteness scan as EvaluateBatchPrepared: one kernel call
-  // over count * width doubles keeps the SIMD lanes full.
-  if (!simd::ActiveKernels().all_finite(batch.data,
-                                        batch.count * batch.width)) {
-    return Status::InvalidArgument("test window contains a non-finite value");
-  }
+  MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
   triages->resize(batch.count);
-  ExplainWorkspace& ws = *workspace;
+  std::vector<double>& test_sorted = workspace->test_sorted_;
   for (size_t w = 0; w < batch.count; ++w) {
-    const double* window = batch.data + w * batch.width;
-    std::vector<double>& test_sorted = ws.test_sorted_;
-    test_sorted.assign(window, window + batch.width);
-    std::sort(test_sorted.begin(), test_sorted.end());
-    // Classify recomputes the threshold per window, but from cheap scalar
-    // arithmetic on identical (n, m, alpha) — bit-identical across the
-    // batch, so no behavior depends on hoisting it.
+    SortedCopyInto(batch.data + w * batch.width, batch.width, &test_sorted);
     (*triages)[w] = sketched.Classify(
         sketched.StatisticAgainstSorted(test_sorted), batch.width);
   }
@@ -316,43 +289,18 @@ Status Moche::EvaluateBatchSketched(
 Result<SizeSearchResult> Moche::FindExplanationSize(
     const std::vector<double>& reference, const std::vector<double>& test,
     double alpha) const {
-  MOCHE_ASSIGN_OR_RETURN(const KsOutcome original,
-                         ks::Run(reference, test, alpha));
-  if (!original.reject) {
-    return Status::AlreadyPasses(
-        "R and T pass the KS test; there is nothing to explain");
-  }
-  MOCHE_ASSIGN_OR_RETURN(const CumulativeFrame frame,
-                         CumulativeFrame::Build(reference, test));
-  const BoundsEngine engine(frame, alpha);
-  return SizeSearcher(engine).FindSize(options_.use_lower_bound);
+  MOCHE_ASSIGN_OR_RETURN(const PreparedReference prepared,
+                         Prepare(reference, alpha));
+  ExplainWorkspace workspace;
+  return FindExplanationSizeInto(prepared, test, &workspace);
 }
 
 Result<SizeSearchResult> Moche::FindExplanationSizeInto(
     const PreparedReference& prepared, const std::vector<double>& test,
     ExplainWorkspace* workspace) const {
-  ExplainWorkspace& ws = *workspace;
-  const std::vector<double>& reference = prepared.sorted_reference_;
-  const double alpha = prepared.alpha_;
-
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
-  std::vector<double>& test_sorted = ws.test_sorted_;
-  test_sorted.assign(test.begin(), test.end());
-  std::sort(test_sorted.begin(), test_sorted.end());
-
-  const double statistic =
-      ks::StatisticSortedScratch(reference, test_sorted, &ws.ks_sweep_);
-  const double threshold = ks::internal::ThresholdUnchecked(
-      alpha, reference.size(), test_sorted.size());
-  if (!(statistic > threshold)) {
-    return Status::AlreadyPasses(
-        "R and T pass the KS test; there is nothing to explain");
-  }
-
-  CumulativeFrame::BuildFromSortedUncheckedInto(reference, test_sorted,
-                                                &ws.frame_);
-  ws.engine_.Reset(ws.frame_, alpha);
-  return SizeSearcher(ws.engine_).FindSize(options_.use_lower_bound);
+  KsOutcome original;
+  return SearchSizeInto(prepared.sorted_reference_, prepared.alpha_, test,
+                        workspace, &original);
 }
 
 }  // namespace moche

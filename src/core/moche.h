@@ -12,7 +12,7 @@
 //
 // Ownership & thread-safety: Moche and PreparedReference are immutable
 // after construction — one engine and one prepared reference may be shared
-// by any number of concurrent Explain/ExplainPrepared calls (the batch
+// by any number of concurrent Explain/ExplainPreparedInto calls (the batch
 // harness and the stream monitor both do). Each call owns all of its
 // mutable state on the stack; no call mutates its inputs. The *Into entry
 // points move that state into a caller-owned ExplainWorkspace instead: a
@@ -67,8 +67,6 @@ struct MocheReport {
   size_t k_hat = 0;            ///< Theorem 2 lower bound (== k start of scan)
   KsOutcome original;          ///< the failed test being explained
   KsOutcome after;             ///< outcome on R vs T \ I (passes)
-  double seconds_size_search = 0.0;
-  double seconds_construction = 0.0;
   SizeSearchResult size_stats;
   BuildStats build_stats;
 };
@@ -77,7 +75,8 @@ struct MocheReport {
 /// windows against the same R (e.g. the sliding-window sweeps of Section 6:
 /// hundreds of test windows are sliced from one series and compared against
 /// one reference). Construct with Moche::Prepare; immutable afterwards, so
-/// one PreparedReference may be shared by concurrent ExplainPrepared calls.
+/// one PreparedReference may be shared by concurrent ExplainPreparedInto
+/// calls.
 class PreparedReference {
  public:
   const std::vector<double>& sorted_reference() const {
@@ -101,7 +100,7 @@ class PreparedReference {
  private:
   friend class Moche;
   // Only Moche::Prepare and DeserializeFrom may construct one:
-  // ExplainPrepared's unchecked hot path relies on the validate-and-sort
+  // ExplainPreparedInto's unchecked hot path relies on the validate-and-sort
   // invariant both establish.
   PreparedReference() = default;
 
@@ -139,29 +138,24 @@ class Moche {
                    preference);
   }
 
-  /// Validates and sorts `reference` once for many ExplainPrepared calls.
+  /// Validates and sorts `reference` once for many ExplainPreparedInto
+  /// calls.
   /// InvalidArgument on an empty/non-finite sample or out-of-domain alpha.
   Result<PreparedReference> Prepare(std::vector<double> reference,
                                     double alpha) const;
 
-  /// As Explain, but reuses the prepared (already sorted) reference: only
-  /// the test window is sorted per call. Produces bit-identical reports to
-  /// Explain on the same inputs. Thread-safe: Moche and PreparedReference
-  /// are both immutable, so concurrent calls may share them.
-  Result<MocheReport> ExplainPrepared(const PreparedReference& prepared,
-                                      const std::vector<double>& test,
-                                      const PreferenceList& preference) const;
-
-  /// The zero-allocation hot path: as ExplainPrepared, but every scratch
-  /// buffer lives in the caller-owned `workspace` and the result is written
-  /// into the caller-owned `*report` (whose explanation vector's capacity is
-  /// reused). A caller that recycles the same workspace and report performs
-  /// no heap allocation once warm — the steady state of the Section 6
-  /// sweeps, harness::RunMethods, and DriftMonitor. Reports are
-  /// bit-identical to ExplainPrepared on the same inputs; `*report` is
-  /// meaningful only when the returned Status is OK. The workspace and
-  /// report are mutable per-caller state: share the engine and the prepared
-  /// reference across threads, never a workspace (docs/ARCHITECTURE.md).
+  /// The zero-allocation hot path: as Explain, but reuses the prepared
+  /// (already sorted) reference, so only the test window is sorted per
+  /// call; every scratch buffer lives in the caller-owned `workspace` and
+  /// the result is written into the caller-owned `*report` (whose
+  /// explanation vector's capacity is reused). A caller that recycles the
+  /// same workspace and report performs no heap allocation once warm — the
+  /// steady state of the Section 6 sweeps, harness::RunMethods, and
+  /// DriftMonitor. Reports are bit-identical to Explain on the same inputs;
+  /// `*report` is meaningful only when the returned Status is OK. The
+  /// workspace and report are mutable per-caller state: share the engine
+  /// and the prepared reference across threads, never a workspace
+  /// (docs/ARCHITECTURE.md).
   Status ExplainPreparedInto(const PreparedReference& prepared,
                              const std::vector<double>& test,
                              const PreferenceList& preference,
@@ -185,9 +179,10 @@ class Moche {
 
   /// As FindExplanationSize, but reuses the prepared (already sorted)
   /// reference — only the test window is sorted and validated per call,
-  /// mirroring the Explain/ExplainPrepared pair — and runs entirely inside
-  /// `workspace`: zero allocation once warm (SizeSearchResult itself is a
-  /// plain value). Same results as FindExplanationSize on the same inputs.
+  /// mirroring the Explain/ExplainPreparedInto pair — and runs entirely
+  /// inside `workspace`: zero allocation once warm (SizeSearchResult itself
+  /// is a plain value). Same results as FindExplanationSize on the same
+  /// inputs.
   Result<SizeSearchResult> FindExplanationSizeInto(
       const PreparedReference& prepared, const std::vector<double>& test,
       ExplainWorkspace* workspace) const;
@@ -232,9 +227,9 @@ class Moche {
                             sketch::SketchTriage* triage) const;
 
   /// Batched triage: as EvaluateBatchPrepared but against the sketch,
-  /// writing (*triages)[w] for window w. One flat SIMD finiteness pass,
-  /// one hoisted threshold, zero allocation once `workspace` and
-  /// `triages` are warm.
+  /// writing (*triages)[w] for window w. Same batch checks and one flat
+  /// SIMD finiteness pass; zero allocation once `workspace` and `triages`
+  /// are warm.
   Status EvaluateBatchSketched(const sketch::SketchedReference& sketched,
                                const WindowBatch& batch,
                                ExplainWorkspace* workspace,
@@ -251,6 +246,16 @@ class Moche {
                            const PreferenceList& preference,
                            ExplainWorkspace* workspace,
                            MocheReport* report) const;
+
+  /// The prefix every explain stage shares: validates `test` and sorts it
+  /// into the workspace, runs the KS test against `sorted_reference`
+  /// (AlreadyPasses when it passes; `*original` is written only when it
+  /// rejects), then builds the frame and engine in the workspace and runs
+  /// phase 1. Same preconditions as ExplainSortedInto.
+  Result<SizeSearchResult> SearchSizeInto(
+      const std::vector<double>& sorted_reference, double alpha,
+      const std::vector<double>& test, ExplainWorkspace* workspace,
+      KsOutcome* original) const;
 
   MocheOptions options_;
 };

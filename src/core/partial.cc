@@ -90,13 +90,6 @@ Status PartialExplanationChecker::Reset(const BoundsEngine& engine,
   return Status::OK();
 }
 
-Result<PartialExplanationChecker> PartialExplanationChecker::Create(
-    const BoundsEngine& engine, size_t k) {
-  PartialExplanationChecker checker;
-  MOCHE_RETURN_IF_ERROR(checker.Reset(engine, k));
-  return checker;
-}
-
 bool PartialExplanationChecker::RunFeasible(size_t b) {
   // Walk from leaf b to the root. A left sibling lies wholly in runs < b
   // (the prefix), a right sibling wholly in runs > b (the suffix); each

@@ -64,16 +64,12 @@ class PartialExplanationChecker {
   /// many instances.
   PartialExplanationChecker() = default;
 
-  /// Requires that a qualified k-subset exists (i.e. k came from phase 1);
-  /// returns Internal otherwise. The frame and engine must outlive the
-  /// checker.
-  static Result<PartialExplanationChecker> Create(const BoundsEngine& engine,
-                                                  size_t k);
-
   /// Rebinds the checker to (engine, k) and clears the accepted set,
   /// rebuilding all cached state in place (assign-style, so a warm checker
-  /// allocates nothing). Same validation and result as Create, plus
-  /// OutOfRange for a frame of 2^29 or more base values.
+  /// allocates nothing). InvalidArgument unless 0 < k < m; Internal unless
+  /// a qualified k-subset exists (i.e. k came from phase 1); OutOfRange for
+  /// a frame of 2^29 or more base values. The frame and engine must outlive
+  /// the checker's use.
   Status Reset(const BoundsEngine& engine, size_t k);
 
   /// Heap bytes retained by the checker's arrays (capacity-based; see

@@ -146,8 +146,6 @@ Status ReadReport(bin::Reader* r, const std::string& what,
   report->size_stats.full_scans = static_cast<size_t>(words[5]);
   report->build_stats.candidates_checked = static_cast<size_t>(words[6]);
   report->build_stats.recursion_steps = static_cast<size_t>(words[7]);
-  report->seconds_size_search = 0.0;
-  report->seconds_construction = 0.0;
   return Status::OK();
 }
 

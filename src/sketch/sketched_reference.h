@@ -126,8 +126,7 @@ class SketchedReference {
   size_t sketch_capacity() const { return sketch_.capacity(); }
 
   /// Heap bytes retained: the sketch plus the flattened arrays. The
-  /// `ref.bytes` metric of bench_sketch and the cache's resident_bytes
-  /// both report this.
+  /// cache's resident_bytes reports this.
   size_t FootprintBytes() const;
 
   /// Appends alpha then the sketch encoding (kll_sketch.h) — the snapshot

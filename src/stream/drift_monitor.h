@@ -5,8 +5,8 @@
 // detector (StreamingKs, O(log d) per observation) to an interned
 // PreparedReference; observation batches fan out across a util/parallel
 // ThreadPool, one task per stream. When a stream's window drifts, the
-// monitor runs Moche::ExplainPrepared on the window snapshot and records a
-// DriftEvent. A re-arm policy throttles explanation: one excursion above
+// monitor runs Moche::ExplainPreparedInto on the window snapshot and
+// records a DriftEvent. A re-arm policy throttles explanation: one excursion above
 // the threshold yields one event (kOncePerExcursion) or one every k pushes
 // (kEveryKPushes) instead of thousands of duplicates.
 //
@@ -23,7 +23,7 @@
 // the push on the summary alone; only the uncertain band (and windows
 // that actually fire an explanation) fall back to the interned exact
 // reference, which the fleet still shares once for fallback and for
-// ExplainPrepared. The sorted copy slides with the ring (two binary
+// ExplainPreparedInto. The sorted copy slides with the ring (two binary
 // searches and an O(w) memmove per push), so a full-window push costs
 // that plus an endpoint sweep against the summary (O(summary + w)
 // compares, one division per distinct window value) — no per-push sort,
@@ -44,7 +44,8 @@
 // bit-identical to the sequential (num_threads = 1) run at any thread
 // count. Everything per-stream is deterministic — the detector's counts
 // and statistic are a pure function of its reference and window, and
-// ExplainPrepared is a pure function of (reference, window, preference).
+// ExplainPreparedInto is a pure function of (reference, window,
+// preference).
 //
 // Threading contract: the monitor is driven from one thread (AddStream /
 // PushBatch / events must not race each other); internally PushBatch
@@ -113,8 +114,8 @@ enum class RearmPolicy {
   kEveryKPushes,
 };
 
-/// Ordering of the preference list handed to ExplainPrepared: which window
-/// points the explanation should prefer to remove on ties.
+/// Ordering of the preference list handed to ExplainPreparedInto: which
+/// window points the explanation should prefer to remove on ties.
 enum class WindowPreference {
   kOldestFirst,  ///< identity order — prefer the oldest observations
   kNewestFirst,  ///< reversed — prefer the most recent observations
@@ -160,17 +161,18 @@ struct DriftEvent {
   size_t stream = 0;        ///< index of the firing stream
   uint64_t tick = 0;        ///< per-stream observation count at the alarm
   KsOutcome outcome;        ///< the failing test (from the detector)
-  /// ExplainPrepared on the window snapshot. Explanation indices are window
-  /// positions in arrival order (0 = oldest surviving observation at tick).
+  /// ExplainPreparedInto on the window snapshot. Explanation indices are
+  /// window positions in arrival order (0 = oldest surviving observation at
+  /// tick).
   /// Only meaningful when explain_status.ok().
   MocheReport report;
   Status explain_status;
 };
 
-/// Bit-identity over the deterministic DriftEvent fields (stream, tick,
-/// detector statistic, explanation size/indices, status code); wall times
-/// inside the reports are ignored. The parallel/sequential comparison of
-/// bench_stream_monitor and the determinism tests both use this.
+/// Bit-identity over the DriftEvent fields that identify an alarm (stream,
+/// tick, detector statistic and threshold, status code, and for an
+/// explained event its size and indices). The parallel/sequential
+/// determinism tests use this.
 bool SameEventLogs(const std::vector<DriftEvent>& a,
                    const std::vector<DriftEvent>& b);
 

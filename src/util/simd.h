@@ -54,7 +54,8 @@ enum class Isa {
   kNeon,
 };
 
-/// "scalar", "avx2", "neon" — stable strings, recorded in BENCH_*.json.
+/// "scalar", "avx2", "neon" — stable strings, recorded in perfbench's build
+/// record.
 const char* IsaName(Isa isa);
 
 /// The instruction set selected at startup (CPU capability, then the

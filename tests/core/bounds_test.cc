@@ -46,9 +46,11 @@ TEST_F(PaperBoundsTest, GammaFormula) {
 
 TEST_F(PaperBoundsTest, ExampleFourSizeOneBoundsContradict) {
   // Paper: at h = 1, l_2 = 2 and u_2 = 1, so no qualified 1-vector exists.
-  const BoundsVectors b = engine_->ComputeBounds(1);
-  EXPECT_EQ(b.lower[2], 2);
-  EXPECT_EQ(b.upper[2], 1);
+  std::vector<int64_t> lower;
+  std::vector<int64_t> upper;
+  engine_->ComputeBoundsInto(1, &lower, &upper);
+  EXPECT_EQ(lower[2], 2);
+  EXPECT_EQ(upper[2], 1);
   EXPECT_FALSE(engine_->ExistsQualified(1));
 }
 
@@ -56,15 +58,17 @@ TEST_F(PaperBoundsTest, ExampleFourSizeTwoBounds) {
   // At h = 2 a qualified vector exists. (l_1,u_1) = (0,1) as printed in
   // Example 4; for i >= 2 the formulas give l_i = 2 — Example 4's text lists
   // (1,2) but Example 6 confirms l^k_3 = 2, so we encode the formula value.
-  const BoundsVectors b = engine_->ComputeBounds(2);
-  EXPECT_EQ(b.lower[1], 0);
-  EXPECT_EQ(b.upper[1], 1);
-  EXPECT_EQ(b.lower[2], 2);
-  EXPECT_EQ(b.upper[2], 2);
-  EXPECT_EQ(b.lower[3], 2);
-  EXPECT_EQ(b.upper[3], 2);
-  EXPECT_EQ(b.lower[4], 2);
-  EXPECT_EQ(b.upper[4], 2);
+  std::vector<int64_t> lower;
+  std::vector<int64_t> upper;
+  engine_->ComputeBoundsInto(2, &lower, &upper);
+  EXPECT_EQ(lower[1], 0);
+  EXPECT_EQ(upper[1], 1);
+  EXPECT_EQ(lower[2], 2);
+  EXPECT_EQ(upper[2], 2);
+  EXPECT_EQ(lower[3], 2);
+  EXPECT_EQ(upper[3], 2);
+  EXPECT_EQ(lower[4], 2);
+  EXPECT_EQ(upper[4], 2);
   EXPECT_TRUE(engine_->ExistsQualified(2));
 }
 
@@ -119,9 +123,11 @@ TEST(BoundsEngineTest, UpperBoundAtLastIndexEqualsH) {
     BoundsEngine engine(*frame, 0.05);
     for (size_t h = 1; h < 20; ++h) {
       if (engine.ExistsQualified(h)) {
-        const BoundsVectors b = engine.ComputeBounds(h);
-        EXPECT_EQ(b.upper[frame->q()], static_cast<int64_t>(h));
-        EXPECT_LE(b.lower[frame->q()], b.upper[frame->q()]);
+        std::vector<int64_t> lower;
+        std::vector<int64_t> upper;
+        engine.ComputeBoundsInto(h, &lower, &upper);
+        EXPECT_EQ(upper[frame->q()], static_cast<int64_t>(h));
+        EXPECT_LE(lower[frame->q()], upper[frame->q()]);
         break;
       }
     }

@@ -85,11 +85,6 @@ TEST_F(PaperBuilderTest, RejectsForeignValueOutsideTheScannedPrefix) {
   const std::vector<double> foreign{99, 13, 12, 20};
   auto expl = BuildMostComprehensible(*engine_, 2, foreign, pref);
   EXPECT_TRUE(expl.status().IsNotFound()) << expl.status().ToString();
-  BuildScratch scratch;
-  Explanation out;
-  EXPECT_TRUE(BuildMostComprehensibleInto(*engine_, 2, foreign, pref, true,
-                                          nullptr, &scratch, &out)
-                  .IsNotFound());
 }
 
 // The explanation is always a prefix-greedy selection: each accepted index

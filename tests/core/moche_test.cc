@@ -128,8 +128,6 @@ TEST(MocheTest, TimingsArePopulated) {
   const std::vector<double> t{13, 13, 12, 20};
   auto report = Moche().Explain(r, t, 0.3, {0, 1, 2, 3});
   ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->seconds_size_search, 0.0);
-  EXPECT_GE(report->seconds_construction, 0.0);
   EXPECT_GE(report->size_stats.theorem2_checks, 1u);
 }
 

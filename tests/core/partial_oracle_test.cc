@@ -103,11 +103,11 @@ TEST(PartialExplanationOracleTest, CheckerMatchesExhaustiveEnumeration) {
 
     // Several random accept sequences per instance.
     for (int seq = 0; seq < 5; ++seq) {
-      auto checker = PartialExplanationChecker::Create(engine, size->k);
-      ASSERT_TRUE(checker.ok());
+      PartialExplanationChecker checker;
+      ASSERT_TRUE(checker.Reset(engine, size->k).ok());
       std::vector<int64_t> accepted(frame->q() + 1, 0);
       for (int step = 0; step < 30; ++step) {
-        if (checker->accepted_count() == size->k) break;
+        if (checker.accepted_count() == size->k) break;
         const size_t v = static_cast<size_t>(
             rng.Integer(1, static_cast<int64_t>(frame->q())));
         std::vector<int64_t> candidate = accepted;
@@ -117,11 +117,11 @@ TEST(PartialExplanationOracleTest, CheckerMatchesExhaustiveEnumeration) {
         const bool within_t = candidate[v] <= frame->CountT(v);
         const bool oracle =
             within_t && AnyExplanationContains(explanations, candidate);
-        const bool verdict = checker->CandidateFeasible(v);
+        const bool verdict = checker.CandidateFeasible(v);
         ASSERT_EQ(verdict, oracle)
             << "instance " << instances << " seq " << seq << " v=" << v;
         if (verdict) {
-          checker->Accept(v);
+          checker.Accept(v);
           accepted = candidate;
         }
       }

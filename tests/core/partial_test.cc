@@ -27,44 +27,44 @@ class PaperPartialTest : public ::testing::Test {
 };
 
 TEST_F(PaperPartialTest, ExampleSixTrace) {
-  auto checker = PartialExplanationChecker::Create(*engine_, 2);
-  ASSERT_TRUE(checker.ok());
+  PartialExplanationChecker checker;
+  ASSERT_TRUE(checker.Reset(*engine_, 2).ok());
   // t4 = 20 -> base index 4: not a partial explanation (ubar_3 = 1 < 2).
-  EXPECT_FALSE(checker->CandidateFeasible(4));
+  EXPECT_FALSE(checker.CandidateFeasible(4));
   // t3 = 12 -> base index 1: partial explanation; accept.
-  EXPECT_TRUE(checker->CandidateFeasible(1));
-  checker->Accept(1);
+  EXPECT_TRUE(checker.CandidateFeasible(1));
+  checker.Accept(1);
   // t2 = 13 -> base index 2: partial explanation; accept -> size k reached.
-  EXPECT_TRUE(checker->CandidateFeasible(2));
-  checker->Accept(2);
-  EXPECT_EQ(checker->accepted_count(), 2u);
+  EXPECT_TRUE(checker.CandidateFeasible(2));
+  checker.Accept(2);
+  EXPECT_EQ(checker.accepted_count(), 2u);
 }
 
 TEST_F(PaperPartialTest, FullModeAgreesOnExampleSix) {
-  auto checker = PartialExplanationChecker::Create(*engine_, 2);
-  ASSERT_TRUE(checker.ok());
-  EXPECT_FALSE(checker->CandidateFeasibleFull(4));
-  EXPECT_TRUE(checker->CandidateFeasibleFull(1));
-  checker->Accept(1);
-  EXPECT_TRUE(checker->CandidateFeasibleFull(2));
+  PartialExplanationChecker checker;
+  ASSERT_TRUE(checker.Reset(*engine_, 2).ok());
+  EXPECT_FALSE(checker.CandidateFeasibleFull(4));
+  EXPECT_TRUE(checker.CandidateFeasibleFull(1));
+  checker.Accept(1);
+  EXPECT_TRUE(checker.CandidateFeasibleFull(2));
 }
 
 TEST_F(PaperPartialTest, MultiplicityGuard) {
-  auto checker = PartialExplanationChecker::Create(*engine_, 2);
-  ASSERT_TRUE(checker.ok());
+  PartialExplanationChecker checker;
+  ASSERT_TRUE(checker.Reset(*engine_, 2).ok());
   // Only one 12 exists in T; a second copy can never be a subset of T.
-  ASSERT_TRUE(checker->CandidateFeasible(1));
-  checker->Accept(1);
-  EXPECT_FALSE(checker->CandidateFeasible(1));
-  EXPECT_FALSE(checker->CandidateFeasibleFull(1));
+  ASSERT_TRUE(checker.CandidateFeasible(1));
+  checker.Accept(1);
+  EXPECT_FALSE(checker.CandidateFeasible(1));
+  EXPECT_FALSE(checker.CandidateFeasibleFull(1));
 }
 
 TEST_F(PaperPartialTest, CreateRejectsBadSizes) {
-  EXPECT_FALSE(PartialExplanationChecker::Create(*engine_, 0).ok());
-  EXPECT_FALSE(PartialExplanationChecker::Create(*engine_, 4).ok());
+  PartialExplanationChecker checker;
+  EXPECT_TRUE(checker.Reset(*engine_, 0).IsInvalidArgument());
+  EXPECT_TRUE(checker.Reset(*engine_, 4).IsInvalidArgument());
   // k = 1 has no qualified vector (Example 4) -> Internal.
-  auto r = PartialExplanationChecker::Create(*engine_, 1);
-  EXPECT_TRUE(r.status().IsInternal());
+  EXPECT_TRUE(checker.Reset(*engine_, 1).IsInternal());
 }
 
 // The incremental and the paper-faithful full check must agree on every
@@ -90,22 +90,22 @@ TEST(PartialCheckerPropertyTest, IncrementalEqualsFull) {
     auto size = SizeSearcher(engine).FindSize();
     ASSERT_TRUE(size.ok());
 
-    auto inc = PartialExplanationChecker::Create(engine, size->k);
-    auto full = PartialExplanationChecker::Create(engine, size->k);
-    ASSERT_TRUE(inc.ok());
-    ASSERT_TRUE(full.ok());
+    PartialExplanationChecker inc;
+    ASSERT_TRUE(inc.Reset(engine, size->k).ok());
+    PartialExplanationChecker full;
+    ASSERT_TRUE(full.Reset(engine, size->k).ok());
 
     // Random candidate stream; accept whenever feasible (both must agree).
     for (int step = 0; step < 60; ++step) {
-      if (inc->accepted_count() == size->k) break;
+      if (inc.accepted_count() == size->k) break;
       const size_t v =
           static_cast<size_t>(rng.Integer(1, static_cast<int64_t>(frame->q())));
-      const bool a = inc->CandidateFeasible(v);
-      const bool b = full->CandidateFeasibleFull(v);
+      const bool a = inc.CandidateFeasible(v);
+      const bool b = full.CandidateFeasibleFull(v);
       EXPECT_EQ(a, b) << "divergence at v=" << v;
       if (a && b) {
-        inc->Accept(v);
-        full->Accept(v);
+        inc.Accept(v);
+        full.Accept(v);
       }
     }
   }
@@ -133,8 +133,8 @@ TEST(PartialCheckerPropertyTest, GreedyAcceptanceAlwaysCompletes) {
     BoundsEngine engine(*frame, 0.05);
     auto size = SizeSearcher(engine).FindSize();
     ASSERT_TRUE(size.ok());
-    auto checker = PartialExplanationChecker::Create(engine, size->k);
-    ASSERT_TRUE(checker.ok());
+    PartialExplanationChecker checker;
+    ASSERT_TRUE(checker.Reset(engine, size->k).ok());
 
     // Scan values in a shuffled order, repeating the scan until complete.
     std::vector<size_t> order;
@@ -143,10 +143,10 @@ TEST(PartialCheckerPropertyTest, GreedyAcceptanceAlwaysCompletes) {
     }
     rng.Shuffle(&order);
     for (size_t v : order) {
-      if (checker->accepted_count() == size->k) break;
-      if (checker->CandidateFeasible(v)) checker->Accept(v);
+      if (checker.accepted_count() == size->k) break;
+      if (checker.CandidateFeasible(v)) checker.Accept(v);
     }
-    EXPECT_EQ(checker->accepted_count(), size->k);
+    EXPECT_EQ(checker.accepted_count(), size->k);
   }
   EXPECT_GE(instances, 8);
 }
@@ -176,8 +176,8 @@ void CompareOnEveryIndex(const std::vector<double>& r,
   BoundsEngine engine(*frame, alpha);
   auto size = SizeSearcher(engine).FindSize();
   ASSERT_TRUE(size.ok());
-  auto checker = PartialExplanationChecker::Create(engine, size->k);
-  ASSERT_TRUE(checker.ok());
+  PartialExplanationChecker checker;
+  ASSERT_TRUE(checker.Reset(engine, size->k).ok());
   const size_t q = frame->q();
   ++cov->instances;
   if (frame->CountT(1) > 0) ++cov->t_first;
@@ -188,10 +188,10 @@ void CompareOnEveryIndex(const std::vector<double>& r,
   while (true) {
     std::vector<size_t> feasible;
     for (size_t v = 1; v <= q; ++v) {
-      const bool closed = checker->CandidateFeasible(v);
-      const bool full = checker->CandidateFeasibleFull(v);
+      const bool closed = checker.CandidateFeasible(v);
+      const bool full = checker.CandidateFeasibleFull(v);
       ASSERT_EQ(closed, full) << "v=" << v << " of q=" << q << " after "
-                              << checker->accepted_count() << " accepts";
+                              << checker.accepted_count() << " accepts";
       if (frame->CountT(v) == 0) {
         ++cov->r_only;
         EXPECT_FALSE(closed);
@@ -201,7 +201,7 @@ void CompareOnEveryIndex(const std::vector<double>& r,
       }
       if (closed) feasible.push_back(v);
     }
-    if (checker->accepted_count() == size->k) break;
+    if (checker.accepted_count() == size->k) break;
     // A partial explanation always extends, so some candidate is feasible.
     ASSERT_FALSE(feasible.empty());
     size_t v = feasible[static_cast<size_t>(
@@ -210,7 +210,7 @@ void CompareOnEveryIndex(const std::vector<double>& r,
         rng->Bernoulli(0.7)) {
       v = last;
     }
-    checker->Accept(v);
+    checker.Accept(v);
     ++accepted[v];
     last = v;
   }

@@ -1,9 +1,10 @@
 // The prepared-instance API: Moche::Prepare sorts/validates the reference
-// once, ExplainPrepared reuses it per test window. Its contract is that
+// once, ExplainPreparedInto reuses it per test window. Its contract is that
 // reports are bit-identical to the one-shot Explain on the same inputs.
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,18 @@ void ExpectSameReport(const MocheReport& a, const MocheReport& b) {
   EXPECT_EQ(a.original.reject, b.original.reject);
   EXPECT_DOUBLE_EQ(a.after.statistic, b.after.statistic);
   EXPECT_EQ(a.after.reject, b.after.reject);
+}
+
+// One ExplainPreparedInto call on a fresh workspace and report.
+Result<MocheReport> ExplainPreparedFresh(const Moche& engine,
+                                         const PreparedReference& prepared,
+                                         const std::vector<double>& test,
+                                         const PreferenceList& preference) {
+  ExplainWorkspace workspace;
+  MocheReport report;
+  MOCHE_RETURN_IF_ERROR(engine.ExplainPreparedInto(prepared, test, preference,
+                                                   &workspace, &report));
+  return report;
 }
 
 TEST(PreparedReferenceTest, PrepareValidatesInputs) {
@@ -49,7 +62,7 @@ TEST(PreparedReferenceTest, MatchesExplainOnPaperExample) {
 
   auto prepared = engine.Prepare(r, 0.3);
   ASSERT_TRUE(prepared.ok());
-  auto via_prepared = engine.ExplainPrepared(*prepared, t, {3, 2, 1, 0});
+  auto via_prepared = ExplainPreparedFresh(engine, *prepared, t, {3, 2, 1, 0});
   ASSERT_TRUE(via_prepared.ok());
   ExpectSameReport(*direct, *via_prepared);
   EXPECT_EQ(via_prepared->explanation.indices, (std::vector<size_t>{2, 1}));
@@ -75,7 +88,7 @@ TEST(PreparedReferenceTest, OneReferenceManyWindowsMatchesExplain) {
     PreferenceList pref = RandomPreference(test.size(), &rng);
 
     auto direct = engine.Explain(reference, test, 0.05, pref);
-    auto via_prepared = engine.ExplainPrepared(*prepared, test, pref);
+    auto via_prepared = ExplainPreparedFresh(engine, *prepared, test, pref);
     ASSERT_EQ(direct.ok(), via_prepared.ok()) << "window " << window;
     if (!direct.ok()) {
       EXPECT_EQ(direct.status().code(), via_prepared.status().code());
@@ -136,38 +149,50 @@ TEST(WindowBatchTest, BatchOutcomesMatchRunSortedPerWindow) {
 }
 
 TEST(WindowBatchTest, ValidatesBatchShapeAndContents) {
+  // EvaluateBatchPrepared and EvaluateBatchSketched share one batch
+  // validator; every case runs through both.
   Moche engine;
-  auto prepared = engine.Prepare({1.0, 2.0, 3.0, 4.0}, 0.05);
+  const std::vector<double> reference{1.0, 2.0, 3.0, 4.0};
+  auto prepared = engine.Prepare(reference, 0.05);
   ASSERT_TRUE(prepared.ok());
+  auto sketched = sketch::SketchedReference::FromSample(reference, 0.05);
+  ASSERT_TRUE(sketched.ok());
   ExplainWorkspace workspace;
-  std::vector<KsOutcome> outcomes{{}, {}};
+  std::vector<KsOutcome> outcomes;
+  std::vector<sketch::SketchTriage> triages;
+  // Both entry points on `batch`, each writing into two stale outputs.
+  const auto evaluate = [&](const WindowBatch& batch) {
+    outcomes.assign(2, KsOutcome{});
+    triages.assign(2, sketch::SketchTriage{});
+    return std::make_pair(
+        engine.EvaluateBatchPrepared(*prepared, batch, &workspace, &outcomes),
+        engine.EvaluateBatchSketched(*sketched, batch, &workspace, &triages));
+  };
 
-  // Empty batch: OK, outcomes cleared.
-  EXPECT_TRUE(engine.EvaluateBatchPrepared(*prepared, WindowBatch{},
-                                           &workspace, &outcomes)
-                  .ok());
+  // Empty batch: OK, outputs cleared.
+  const auto empty = evaluate(WindowBatch{});
+  EXPECT_TRUE(empty.first.ok());
+  EXPECT_TRUE(empty.second.ok());
   EXPECT_TRUE(outcomes.empty());
+  EXPECT_TRUE(triages.empty());
 
   const double data[4] = {1.0, 2.0, 3.0, 4.0};
-  // count > 0 with width == 0 is malformed.
-  EXPECT_TRUE(engine
-                  .EvaluateBatchPrepared(*prepared, WindowBatch{data, 2, 0},
-                                         &workspace, &outcomes)
-                  .IsInvalidArgument());
-  // count > 0 with null data is malformed.
-  EXPECT_TRUE(engine
-                  .EvaluateBatchPrepared(*prepared,
-                                         WindowBatch{nullptr, 2, 2},
-                                         &workspace, &outcomes)
-                  .IsInvalidArgument());
-  // A non-finite value anywhere in the batch poisons the whole call (one
-  // SIMD validation pass over the flat buffer).
   const double bad[4] = {1.0, 2.0,
                          std::numeric_limits<double>::quiet_NaN(), 4.0};
-  EXPECT_TRUE(engine
-                  .EvaluateBatchPrepared(*prepared, WindowBatch{bad, 2, 2},
-                                         &workspace, &outcomes)
-                  .IsInvalidArgument());
+  const WindowBatch malformed[] = {
+      WindowBatch{data, 2, 0},     // count > 0 with width == 0
+      WindowBatch{nullptr, 2, 2},  // count > 0 with null data
+      // A non-finite value anywhere in the batch poisons the whole call
+      // (one SIMD validation pass over the flat buffer).
+      WindowBatch{bad, 2, 2},
+  };
+  for (size_t i = 0; i < 3; ++i) {
+    const auto status = evaluate(malformed[i]);
+    EXPECT_TRUE(status.first.IsInvalidArgument()) << "case " << i;
+    EXPECT_TRUE(status.second.IsInvalidArgument()) << "case " << i;
+    EXPECT_EQ(outcomes.size(), 2u);  // untouched
+    EXPECT_EQ(triages.size(), 2u);
+  }
 }
 
 TEST(WindowBatchTest, RejectsOverflowingShape) {
@@ -203,23 +228,23 @@ TEST(PreparedReferenceTest, AlreadyPassingAndValidationErrors) {
   Moche engine;
   auto prepared = engine.Prepare({1, 2, 3, 4}, 0.05);
   ASSERT_TRUE(prepared.ok());
-  EXPECT_TRUE(engine.ExplainPrepared(*prepared, {1, 2, 3, 4}, {0, 1, 2, 3})
+  EXPECT_TRUE(ExplainPreparedFresh(engine, *prepared, {1, 2, 3, 4},
+                                   {0, 1, 2, 3})
                   .status()
                   .IsAlreadyPasses());
   // bad preference (not a permutation of [0, m))
-  EXPECT_TRUE(engine.ExplainPrepared(*prepared, {9, 9, 9}, {0, 1})
+  EXPECT_TRUE(ExplainPreparedFresh(engine, *prepared, {9, 9, 9}, {0, 1})
                   .status()
                   .IsInvalidArgument());
   // empty test window
-  EXPECT_TRUE(engine.ExplainPrepared(*prepared, {}, {})
+  EXPECT_TRUE(ExplainPreparedFresh(engine, *prepared, {}, {})
                   .status()
                   .IsInvalidArgument());
 }
 
 TEST(CumulativeFrameTest, BuildRejectsNonFiniteBeforeSorting) {
   // Regression: Build must validate before sorting — std::sort on a range
-  // containing NaN is undefined behavior, so validation cannot be deferred
-  // to BuildFromSorted.
+  // containing NaN is undefined behavior.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(CumulativeFrame::Build({1.0, nan, 0.5}, {1.0})
                   .status()
@@ -227,16 +252,6 @@ TEST(CumulativeFrameTest, BuildRejectsNonFiniteBeforeSorting) {
   EXPECT_TRUE(CumulativeFrame::Build({1.0}, {2.0, nan})
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(CumulativeFrameTest, BuildFromSortedRejectsUnsortedInput) {
-  EXPECT_TRUE(CumulativeFrame::BuildFromSorted({2.0, 1.0}, {1.0})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(CumulativeFrame::BuildFromSorted({1.0}, {2.0, 1.0})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(CumulativeFrame::BuildFromSorted({1.0, 2.0}, {1.0, 3.0}).ok());
 }
 
 }  // namespace

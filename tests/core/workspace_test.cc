@@ -60,7 +60,7 @@ TEST(ExplainWorkspaceTest, RecycledWorkspaceMatchesExplainPrepared) {
     const std::vector<double> test = NormalSample(&rng, m, shift, 1.05);
     const PreferenceList pref = RandomPreference(m, &rng);
 
-    auto one_shot = engine.ExplainPrepared(*prepared, test, pref);
+    auto one_shot = engine.Explain(reference, test, 0.05, pref);
     const Status into_status =
         engine.ExplainPreparedInto(*prepared, test, pref, &workspace, &report);
     ASSERT_EQ(one_shot.ok(), into_status.ok()) << "window " << w;
