@@ -6,15 +6,17 @@
 // PushBatch calls (events merge in (tick, stream) order after every
 // batch). This target derives per-stream observation sequences with
 // drift-inducing regime shifts, feeds the SAME sequences to three monitors
-// — sequential coarse batches, parallel fine batches, and one-tick
-// PushTick calls — and fails if SameEventLogs distinguishes any pair. A
-// second triple in kSketched reference mode (a minimum-capacity sketch, so
-// triage meets uncertain windows and takes the exact fallback) replays the
-// same feeds under the same contract. It also cross-checks RecheckWindows
-// against from-scratch ks::Run on mirrored windows, batch-rejection
-// atomicity (a NaN batch must not advance any tick), and the stats
-// counters. The sketched triple draws no input bytes of its own: one
-// decoding of an input drives both triples.
+// — sequential coarse batches, parallel fine batches, and one-tick batches
+// of one value per stream — and fails if SameEventLogs distinguishes any
+// pair. A second triple in kSketched reference mode (a minimum-capacity
+// sketch, so triage meets uncertain windows and takes the exact fallback)
+// replays the same feeds under the same contract. Every event of both
+// coarse monitors must then match a from-scratch Moche::Explain on the
+// stream's last w observations (and, when sketched, a from-scratch ks::Run
+// outcome bit for bit). It also checks batch-rejection atomicity (a NaN
+// batch must not advance any tick) and the stats counters. The sketched
+// triple draws no input bytes of its own: one decoding of an input drives
+// both triples.
 
 #include <algorithm>
 #include <cmath>
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/moche.h"
 #include "fuzz_target.h"
 #include "ks/ks_test.h"
 #include "provider.h"
@@ -47,6 +50,65 @@ MonitorOptions WithSketch(MonitorOptions options) {
   options.reference_mode = moche::stream::ReferenceMode::kSketched;
   options.sketch_k = moche::sketch::KllSketch::kMinCapacity;
   return options;
+}
+
+// The from-scratch event oracle: each event must equal a one-shot
+// Moche::Explain on the stream's last w observations at event.tick, under
+// the monitor's preference (same status; same k, k̂ and indices when
+// explained). A sketched event's outcome must also equal ks::Run on that
+// window bit for bit; the kExact detector's integer scores may differ
+// within ~1e-9, so exact-mode outcomes are not compared.
+void CheckEventsAgainstOracle(
+    const DriftMonitor& monitor,
+    const std::vector<std::vector<double>>& references,
+    const std::vector<std::vector<double>>& sequence,
+    const std::vector<size_t>& window_sizes) {
+  const MonitorOptions& options = monitor.options();
+  const moche::Moche engine(options.moche);
+  for (const moche::stream::DriftEvent& event : monitor.events()) {
+    const size_t s = event.stream;
+    const size_t w = window_sizes[s];
+    MOCHE_FUZZ_CHECK(event.tick >= w && event.tick <= sequence[s].size(),
+                     "stream %zu: event tick %llu outside [%zu, %zu]", s,
+                     static_cast<unsigned long long>(event.tick), w,
+                     sequence[s].size());
+    const std::vector<double> window(
+        sequence[s].begin() + static_cast<ptrdiff_t>(event.tick - w),
+        sequence[s].begin() + static_cast<ptrdiff_t>(event.tick));
+    moche::PreferenceList pref = moche::IdentityPreference(w);
+    if (options.preference == moche::stream::WindowPreference::kNewestFirst) {
+      std::reverse(pref.begin(), pref.end());
+    }
+    auto want = engine.Explain(references[s], window, options.alpha, pref);
+    MOCHE_FUZZ_CHECK(
+        event.explain_status.code() == want.status().code(),
+        "stream %zu tick %llu: event status '%s' vs oracle '%s'", s,
+        static_cast<unsigned long long>(event.tick),
+        event.explain_status.ToString().c_str(),
+        want.status().ToString().c_str());
+    if (want.ok()) {
+      MOCHE_FUZZ_CHECK(
+          event.report.k == want->k && event.report.k_hat == want->k_hat &&
+              event.report.explanation.indices == want->explanation.indices,
+          "stream %zu tick %llu: explanation diverges from the oracle "
+          "(k %zu vs %zu)",
+          s, static_cast<unsigned long long>(event.tick), event.report.k,
+          want->k);
+    }
+    if (options.reference_mode != moche::stream::ReferenceMode::kSketched) {
+      continue;
+    }
+    auto direct = moche::ks::Run(references[s], window, options.alpha);
+    MOCHE_FUZZ_CHECK(direct.ok(), "mirror recompute failed: %s",
+                     direct.status().message().c_str());
+    MOCHE_FUZZ_CHECK(event.outcome.statistic == direct->statistic &&
+                         event.outcome.threshold == direct->threshold &&
+                         event.outcome.reject == direct->reject,
+                     "stream %zu tick %llu: sketched outcome diverges from "
+                     "ks::Run (D=%.17g vs %.17g)",
+                     s, static_cast<unsigned long long>(event.tick),
+                     event.outcome.statistic, direct->statistic);
+  }
 }
 
 }  // namespace
@@ -160,12 +222,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                      "sketched fine PushBatch failed");
     done_fine += chunk;
   }
-  std::vector<double> tick_values(streams);
+  std::vector<std::vector<double>> tick_batch(streams);
   for (size_t t = 0; t < ticks; ++t) {
-    for (size_t s = 0; s < streams; ++s) tick_values[s] = sequence[s][t];
-    MOCHE_FUZZ_CHECK(ticked.PushTick(tick_values).ok(), "PushTick failed");
-    MOCHE_FUZZ_CHECK(sketched_ticked.PushTick(tick_values).ok(),
-                     "sketched PushTick failed");
+    for (size_t s = 0; s < streams; ++s) tick_batch[s] = {sequence[s][t]};
+    MOCHE_FUZZ_CHECK(ticked.PushBatch(tick_batch).ok(),
+                     "one-tick PushBatch failed");
+    MOCHE_FUZZ_CHECK(sketched_ticked.PushBatch(tick_batch).ok(),
+                     "sketched one-tick PushBatch failed");
   }
 
   // The determinism contract: one event log, however the batches were cut
@@ -225,40 +288,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    static_cast<unsigned long long>(stats.explanations),
                    coarse.events().size());
 
-  // RecheckWindows is read-only triage: outcomes must match a from-scratch
-  // ks::Run on the mirrored window, streams with unfilled windows stay
-  // n == 0, and no event or tick may move.
-  std::vector<moche::KsOutcome> outcomes;
-  const size_t events_before = coarse.events().size();
-  MOCHE_FUZZ_CHECK(coarse.RecheckWindows(&outcomes).ok(),
-                   "RecheckWindows failed");
-  MOCHE_FUZZ_CHECK(outcomes.size() == streams,
-                   "RecheckWindows wrote %zu outcomes for %zu streams",
-                   outcomes.size(), streams);
-  MOCHE_FUZZ_CHECK(coarse.events().size() == events_before,
-                   "RecheckWindows appended events");
-  for (size_t s = 0; s < streams; ++s) {
-    MOCHE_FUZZ_CHECK(coarse.stream_ticks(s) == ticks,
-                     "RecheckWindows advanced stream %zu", s);
-    if (ticks < window_sizes[s]) {
-      MOCHE_FUZZ_CHECK(outcomes[s].n == 0,
-                       "unfilled stream %zu got a real outcome", s);
-      continue;
-    }
-    const std::vector<double> window(
-        sequence[s].end() - static_cast<ptrdiff_t>(window_sizes[s]),
-        sequence[s].end());
-    auto direct = moche::ks::Run(references[s], window, options.alpha);
-    MOCHE_FUZZ_CHECK(direct.ok(), "mirror recompute failed: %s",
-                     direct.status().message().c_str());
-    MOCHE_FUZZ_CHECK(
-        outcomes[s].statistic == direct->statistic &&
-            outcomes[s].threshold == direct->threshold &&
-            outcomes[s].reject == direct->reject &&
-            outcomes[s].n == direct->n && outcomes[s].m == direct->m,
-        "stream %zu: RecheckWindows outcome diverges from ks::Run "
-        "(D=%.17g vs %.17g)",
-        s, outcomes[s].statistic, direct->statistic);
-  }
+  // The fine and one-tick logs equal these two by the checks above.
+  CheckEventsAgainstOracle(coarse, references, sequence, window_sizes);
+  CheckEventsAgainstOracle(sketched_coarse, references, sequence,
+                           window_sizes);
   return 0;
 }

@@ -101,7 +101,9 @@ class BoundsEngine {
   Result<std::vector<int64_t>> ConstructQualifiedVector(size_t h) const;
 
   /// Expands a cumulative vector into the multiset of values it denotes
-  /// (x_i repeated C[i]-C[i-1] times).
+  /// (x_i repeated C[i]-C[i-1] times). No production path calls it: it
+  /// stays as the oracle that turns a Theorem-1 witness from
+  /// ConstructQualifiedVector into the subset the witness tests remove.
   std::vector<double> VectorToSubset(const std::vector<int64_t>& cum) const;
 
   const CumulativeFrame& frame() const { return *frame_; }

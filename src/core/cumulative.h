@@ -74,6 +74,8 @@ class CumulativeFrame {
 
   /// The cumulative vector C_S (length q+1) of a multiset S (values must all
   /// occur in the base vector; multiplicities are NOT checked against T).
+  /// No production path calls it: it stays as the reference form of the
+  /// paper's Example 3 that the paper-example tests check against.
   Result<std::vector<int64_t>> CumulativeOf(
       const std::vector<double>& subset) const;
 

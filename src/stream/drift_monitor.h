@@ -29,10 +29,10 @@
 // compares, one division per distinct window value) — no per-push sort,
 // and nothing that grows with the reference. Detection semantics are
 // recompute semantics — each full window is judged like ks::RunSorted on
-// its snapshot, matching RecheckWindows; the kExact detector's integer
-// scores can disagree within ~1e-9 of the decision boundary (see
-// fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
-// well-separated data but not bit-contractual.
+// its snapshot, and a sketched event's outcome is that result bit for bit;
+// the kExact detector's integer scores can disagree within ~1e-9 of the
+// decision boundary (see fuzz/streaming_ks_fuzz.cc), so cross-mode event
+// logs are equal on well-separated data but not bit-contractual.
 //
 // One drain loop serves both modes. Per push, only the window verdict
 // depends on the mode (the detector's outcome, or triage with its lazy
@@ -223,30 +223,16 @@ class DriftMonitor {
   /// granularity when streams are fed in lockstep).
   Status PushBatch(const std::vector<std::vector<double>>& observations);
 
-  /// Convenience: one observation per stream.
-  Status PushTick(const std::vector<double>& values);
-
-  /// Re-runs the KS test on every stream's current window snapshot in
-  /// batched SIMD passes: streams sharing an interned PreparedReference and
-  /// window size are packed into one contiguous buffer and evaluated
-  /// through Moche::EvaluateBatchPrepared, so the vector lanes stay full
-  /// across windows instead of draining at every window boundary. A fleet
-  /// whose streams share one reference (the common deployment) is one
-  /// group, hence one batched call. (*outcomes)[i] is stream i's result;
-  /// streams whose window is not yet full are skipped and left
-  /// default-constructed (recognizable by n == 0, impossible for a real
-  /// outcome). Each outcome matches ks::RunSorted(reference, window) on the
-  /// same data. Read-only triage: no detector advances, no event is
-  /// appended, and the re-arm state is untouched — callers decide what to
-  /// do with the rejecting streams (e.g. feed them to the explainer on
-  /// their own schedule).
-  Status RecheckWindows(std::vector<KsOutcome>* outcomes);
-
   /// The drift-event log, oldest first.
   const std::vector<DriftEvent>& events() const { return events_; }
   /// Drops accumulated events (long-running monitors drain the log
   /// periodically); Stats::explanations keeps counting across clears.
-  void ClearEvents() { events_.clear(); }
+  /// Takes the state mutex, so a concurrent checkpoint sees the log either
+  /// before or after the clear.
+  void ClearEvents() {
+    MutexLock lock(state_mutex_.get());
+    events_.clear();
+  }
 
   size_t num_streams() const { return streams_.size(); }
   const std::string& stream_name(size_t i) const { return streams_[i].name; }
@@ -394,11 +380,6 @@ class DriftMonitor {
   std::vector<std::vector<DriftEvent>> batch_buffers_;
   std::vector<Status> batch_statuses_;
   std::vector<DriftEvent> batch_merged_;
-  // RecheckWindows scratch (same reuse rationale as the batch buffers).
-  std::vector<double> recheck_buffer_;        // packed window batch
-  std::vector<size_t> recheck_members_;       // stream index per batch slot
-  std::vector<KsOutcome> recheck_outcomes_;   // per-group kernel results
-  std::vector<unsigned char> recheck_done_;   // streams already grouped
 };
 
 }  // namespace stream

@@ -8,9 +8,7 @@
 // mid-PushBatch, with no chance to flush or destructors to run. The
 // parent restores from the committed checkpoint, feeds the remaining
 // batches, and diffs the rendered event log against an uninterrupted
-// reference run. A second (fork-free) test drives the same guarantee
-// through the harness layer: ReplayDataset with a checkpoint cadence,
-// then ResumeReplayDataset, must reproduce the uninterrupted replay.
+// reference run.
 //
 // fork() is deliberate and safe here: the child never returns into gtest
 // (it either loops until killed or _exits), and the test binary is
@@ -29,11 +27,9 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/stream_replay.h"
 #include "persist/monitor_codec.h"
 #include "stream/drift_monitor.h"
 #include "timeseries/generators.h"
-#include "timeseries/series.h"
 
 namespace moche {
 namespace persist {
@@ -180,65 +176,6 @@ TEST(CrashRecoveryTest, SigkilledSketchedFleetResumesIdentically) {
   options.sketch_k = 128;
   RunSigkillRecoveryScenario(
       options, ::testing::TempDir() + "crash_recovery_sketched_ckpt");
-}
-
-// The same guarantee through the harness layer, without a crash: a replay
-// that checkpointed partway resumes to the uninterrupted result. The
-// truncated first phase stops at a batch boundary (its series simply end
-// there), exactly where a crash after the final checkpoint would leave a
-// durable replay.
-TEST(CrashRecoveryTest, HarnessResumeReproducesUninterruptedReplay) {
-  const std::vector<ts::DriftScenario> suite = Workload();
-  ts::Dataset full;
-  full.name = "crash-recovery-suite";
-  ts::Dataset half;
-  half.name = full.name;
-  const size_t half_tail =
-      ((kLength - kReferenceSize) / (2 * kBatchTicks)) * kBatchTicks;
-  for (const ts::DriftScenario& scenario : suite) {
-    ts::TimeSeries series;
-    series.name = scenario.name;
-    series.values = scenario.reference;
-    series.values.insert(series.values.end(), scenario.observations.begin(),
-                         scenario.observations.end());
-    full.series.push_back(series);
-    series.values.resize(kReferenceSize + half_tail);
-    half.series.push_back(std::move(series));
-  }
-
-  harness::ReplayOptions options;
-  options.reference_size = kReferenceSize;
-  options.window_size = kWindow;
-  options.ticks_per_batch = kBatchTicks;
-
-  auto uninterrupted = harness::ReplayDataset(full, options);
-  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
-  ASSERT_FALSE(uninterrupted->events.empty());
-
-  // Phase 1: replay the truncated dataset, checkpointing every batch.
-  options.checkpoint_dir = ::testing::TempDir() + "harness_resume_ckpt";
-  auto first = harness::ReplayDataset(half, options);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-
-  // Phase 2: resume against the full dataset.
-  auto resumed = harness::ResumeReplayDataset(full, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(
-      stream::SameEventLogs(uninterrupted->events, resumed->events));
-  EXPECT_EQ(FormatEventLog(resumed->events),
-            FormatEventLog(uninterrupted->events));
-  EXPECT_EQ(resumed->observations, uninterrupted->observations);
-  EXPECT_EQ(resumed->drift_ticks, uninterrupted->drift_ticks);
-  EXPECT_EQ(resumed->stream_names, uninterrupted->stream_names);
-
-  // Resuming without a checkpoint directory is an error, as is resuming
-  // against a dataset whose streams don't match the checkpoint.
-  harness::ReplayOptions no_dir = options;
-  no_dir.checkpoint_dir.clear();
-  EXPECT_FALSE(harness::ResumeReplayDataset(full, no_dir).ok());
-  ts::Dataset renamed = full;
-  renamed.series[0].name = "imposter";
-  EXPECT_FALSE(harness::ResumeReplayDataset(renamed, options).ok());
 }
 
 }  // namespace

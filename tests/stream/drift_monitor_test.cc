@@ -260,98 +260,83 @@ TEST(DriftMonitorTest, ParallelEventLogBitIdenticalToSequential) {
   EXPECT_TRUE(SameEventLogs(a.monitor.events(), c.monitor.events()));
 }
 
-TEST(DriftMonitorTest, PushTickFeedsOneObservationPerStream) {
-  auto monitor = DriftMonitor::Create(MonitorOptions{});
-  ASSERT_TRUE(monitor.ok());
-  ASSERT_TRUE(monitor->AddStream("a", {1.0, 2.0, 3.0}, 2).ok());
-  ASSERT_TRUE(monitor->AddStream("b", {4.0, 5.0, 6.0}, 2).ok());
-  ASSERT_TRUE(monitor->PushTick({1.5, 4.5}).ok());
-  EXPECT_EQ(monitor->stream_ticks(0), 1u);
-  EXPECT_EQ(monitor->stream_ticks(1), 1u);
-  EXPECT_EQ(monitor->stats().observations, 2u);
-}
-
-TEST(DriftMonitorTest, RecheckWindowsMatchesRunSortedPerStream) {
-  // Heterogeneous fleet: streams 0/1 share a reference AND a window size
-  // (one batched group), stream 2 shares the reference at a different
-  // window size, stream 3 has its own reference. RecheckWindows must give
-  // each full stream exactly ks::RunSorted on its window, regardless of
-  // how the streams were grouped into batched SIMD calls.
-  auto monitor = DriftMonitor::Create(MonitorOptions{});
-  ASSERT_TRUE(monitor.ok());
-  Rng rng(kSeed);
-  std::vector<double> ref_a;
-  std::vector<double> ref_b;
-  for (int i = 0; i < 200; ++i) ref_a.push_back(rng.Normal(0, 1));
-  for (int i = 0; i < 150; ++i) ref_b.push_back(rng.Normal(1, 2));
-  ASSERT_TRUE(monitor->AddStream("a0", ref_a, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("a1", ref_a, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("a2", ref_a, 25).ok());
-  ASSERT_TRUE(monitor->AddStream("b0", ref_b, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("late", ref_a, 40).ok());  // never fills
-
-  // 60 ticks: every stream but "late" (fed only 10) has a full window.
-  std::vector<std::vector<double>> batch(5);
-  std::vector<std::vector<double>> pushed(5);
-  for (int t = 0; t < 60; ++t) {
-    for (size_t i = 0; i < 4; ++i) {
-      batch[i] = {rng.Normal(0.4 * static_cast<double>(i), 1.0)};
-      pushed[i].push_back(batch[i][0]);
+// The from-scratch event oracle. Every event must be what a one-shot
+// Moche::Explain gives on its stream's last w observations at event.tick,
+// under the monitor's preference: the same status and, when explained, the
+// same k, k̂ and indices. A sketched event's outcome must also equal ks::Run
+// on that window bit for bit (the kExact detector's integer scores may
+// differ within ~1e-9, see the drift_monitor.h header). Stream s has
+// window windows[s] and was fed f.scenarios[s] in full.
+void ExpectEventsMatchOracle(const Fixture& f,
+                             const std::vector<size_t>& windows) {
+  const MonitorOptions& options = f.monitor.options();
+  const Moche engine(options.moche);
+  for (const DriftEvent& event : f.monitor.events()) {
+    SCOPED_TRACE(testing::Message() << "stream " << event.stream << " tick "
+                                    << event.tick);
+    const size_t w = windows[event.stream];
+    const std::vector<double>& reference = f.scenarios[event.stream].reference;
+    const std::vector<double>& obs = f.scenarios[event.stream].observations;
+    ASSERT_GE(event.tick, w);
+    ASSERT_LE(event.tick, obs.size());
+    const std::vector<double> window(
+        obs.begin() + static_cast<long>(event.tick - w),
+        obs.begin() + static_cast<long>(event.tick));
+    PreferenceList pref = IdentityPreference(w);
+    if (options.preference == WindowPreference::kNewestFirst) {
+      std::reverse(pref.begin(), pref.end());
     }
-    batch[4].clear();
-    if (t < 10) {
-      batch[4] = {rng.Normal(0, 1)};
-      pushed[4].push_back(batch[4][0]);
+    const Result<MocheReport> want =
+        engine.Explain(reference, window, options.alpha, pref);
+    ASSERT_EQ(event.explain_status.code(), want.status().code());
+    if (want.ok()) {
+      EXPECT_EQ(event.report.k, want->k);
+      EXPECT_EQ(event.report.k_hat, want->k_hat);
+      EXPECT_EQ(event.report.explanation.indices, want->explanation.indices);
     }
-    ASSERT_TRUE(monitor->PushBatch(batch).ok());
-  }
-
-  const auto events_before = monitor->events().size();
-  const auto ticks_before = monitor->stream_ticks(0);
-  std::vector<KsOutcome> outcomes;
-  ASSERT_TRUE(monitor->RecheckWindows(&outcomes).ok());
-  ASSERT_EQ(outcomes.size(), 5u);
-
-  const size_t windows[] = {40, 40, 25, 40, 40};
-  for (size_t i = 0; i < 4; ++i) {
-    std::vector<double> ref = (i == 3) ? ref_b : ref_a;
-    std::sort(ref.begin(), ref.end());
-    std::vector<double> window(pushed[i].end() -
-                                   static_cast<long>(windows[i]),
-                               pushed[i].end());
-    std::sort(window.begin(), window.end());
-    auto solo = ks::RunSorted(ref, window, monitor->options().alpha);
-    ASSERT_TRUE(solo.ok()) << "stream " << i;
-    EXPECT_EQ(outcomes[i].statistic, solo->statistic) << "stream " << i;
-    EXPECT_EQ(outcomes[i].threshold, solo->threshold) << "stream " << i;
-    EXPECT_EQ(outcomes[i].location, solo->location) << "stream " << i;
-    EXPECT_EQ(outcomes[i].reject, solo->reject) << "stream " << i;
-    EXPECT_EQ(outcomes[i].n, solo->n) << "stream " << i;
-    EXPECT_EQ(outcomes[i].m, windows[i]) << "stream " << i;
-  }
-  // The non-full stream is skipped, recognizable by the impossible n == 0.
-  EXPECT_EQ(outcomes[4].n, 0u);
-  EXPECT_EQ(outcomes[4].m, 0u);
-
-  // Read-only triage: no events appended, no detector advanced, and a
-  // second call reproduces the same outcomes from the same windows.
-  EXPECT_EQ(monitor->events().size(), events_before);
-  EXPECT_EQ(monitor->stream_ticks(0), ticks_before);
-  std::vector<KsOutcome> again;
-  ASSERT_TRUE(monitor->RecheckWindows(&again).ok());
-  ASSERT_EQ(again.size(), outcomes.size());
-  for (size_t i = 0; i < again.size(); ++i) {
-    EXPECT_EQ(again[i].statistic, outcomes[i].statistic);
-    EXPECT_EQ(again[i].reject, outcomes[i].reject);
+    if (options.reference_mode == ReferenceMode::kSketched) {
+      const Result<KsOutcome> run = ks::Run(reference, window, options.alpha);
+      ASSERT_TRUE(run.ok());
+      EXPECT_EQ(event.outcome.statistic, run->statistic);
+      EXPECT_EQ(event.outcome.threshold, run->threshold);
+      EXPECT_EQ(event.outcome.reject, run->reject);
+    }
   }
 }
 
-TEST(DriftMonitorTest, RecheckWindowsOnEmptyMonitorIsOk) {
-  auto monitor = DriftMonitor::Create(MonitorOptions{});
-  ASSERT_TRUE(monitor.ok());
-  std::vector<KsOutcome> outcomes{{}, {}};
-  ASSERT_TRUE(monitor->RecheckWindows(&outcomes).ok());
-  EXPECT_TRUE(outcomes.empty());
+TEST(DriftMonitorTest, EventsMatchFromScratchOracle) {
+  // Two window sizes, both preferences, both reference modes, and
+  // kEveryKPushes so every excursion reports more than once.
+  const std::vector<size_t> windows = {60, 35, 60, 35};
+  for (const ReferenceMode mode :
+       {ReferenceMode::kExact, ReferenceMode::kSketched}) {
+    for (const WindowPreference preference :
+         {WindowPreference::kOldestFirst, WindowPreference::kNewestFirst}) {
+      SCOPED_TRACE(testing::Message()
+                   << ModeName(mode) << " newest-first "
+                   << (preference == WindowPreference::kNewestFirst));
+      MonitorOptions options;
+      options.rearm = RearmPolicy::kEveryKPushes;
+      options.explain_every_k = 25;
+      options.preference = preference;
+      options.num_threads = 2;
+      auto monitor = DriftMonitor::Create(WithMode(options, mode));
+      ASSERT_TRUE(monitor.ok());
+      Fixture f{std::move(monitor).value(),
+                ts::MakeDriftScenarioSuite(windows.size(), kSeed, 300, 400)};
+      for (size_t s = 0; s < windows.size(); ++s) {
+        ASSERT_TRUE(f.monitor
+                        .AddStream(f.scenarios[s].name,
+                                   f.scenarios[s].reference, windows[s])
+                        .ok());
+      }
+      Replay(&f, 13);
+
+      // Enough events that the oracle is not vacuous.
+      ASSERT_GE(f.monitor.events().size(), 8u);
+      ExpectEventsMatchOracle(f, windows);
+    }
+  }
 }
 
 TEST(SketchedMonitorTest, CreateValidatesSketchK) {
@@ -405,46 +390,6 @@ TEST(SketchedMonitorTest, DetectsAndExplainsInjectedDrift) {
   EXPECT_GT(stats.triage_certified_fail, 0u);
 }
 
-TEST(SketchedMonitorTest, RecheckWindowsMatchesRunSorted) {
-  // Detection in sketched mode is defined by recompute semantics, so the
-  // read-only RecheckWindows oracle must still be exactly ks::RunSorted on
-  // each full ring — the sketch only triages which windows pay for it.
-  MonitorOptions options;
-  options.reference_mode = ReferenceMode::kSketched;
-  options.sketch_k = 64;
-  auto monitor = DriftMonitor::Create(options);
-  ASSERT_TRUE(monitor.ok());
-  Rng rng(kSeed);
-  std::vector<double> ref;
-  for (int i = 0; i < 200; ++i) ref.push_back(rng.Normal(0, 1));
-  ASSERT_TRUE(monitor->AddStream("full", ref, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("late", ref, 40).ok());  // never fills
-
-  std::vector<double> pushed;
-  for (int t = 0; t < 55; ++t) {
-    std::vector<std::vector<double>> batch(2);
-    batch[0] = {rng.Normal(0.5, 1.0)};
-    pushed.push_back(batch[0][0]);
-    if (t < 10) batch[1] = {rng.Normal(0, 1)};
-    ASSERT_TRUE(monitor->PushBatch(batch).ok());
-  }
-
-  std::vector<KsOutcome> outcomes;
-  ASSERT_TRUE(monitor->RecheckWindows(&outcomes).ok());
-  ASSERT_EQ(outcomes.size(), 2u);
-  std::vector<double> sorted_ref = ref;
-  std::sort(sorted_ref.begin(), sorted_ref.end());
-  std::vector<double> window(pushed.end() - 40, pushed.end());
-  std::sort(window.begin(), window.end());
-  auto solo = ks::RunSorted(sorted_ref, window, monitor->options().alpha);
-  ASSERT_TRUE(solo.ok());
-  EXPECT_EQ(outcomes[0].statistic, solo->statistic);
-  EXPECT_EQ(outcomes[0].reject, solo->reject);
-  EXPECT_EQ(outcomes[0].n, solo->n);
-  // The non-full stream is skipped (impossible n == 0), as in exact mode.
-  EXPECT_EQ(outcomes[1].n, 0u);
-}
-
 TEST(SketchedMonitorTest, SortedWindowTriageMatchesTriageSketchedInto) {
   // Tied data with signed zeros: every evicted value has equal twins in
   // the window (often of the other sign), which is where an incrementally
@@ -492,7 +437,9 @@ TEST(SketchedMonitorTest, SortedWindowTriageMatchesTriageSketchedInto) {
                         size_t from, size_t to) {
     for (size_t t = from; t < to; ++t) {
       const DriftMonitor::Stats before = monitor->stats();
-      ASSERT_TRUE(monitor->PushTick(ticks[t]).ok());
+      std::vector<std::vector<double>> batch(kStreams);
+      for (size_t st = 0; st < kStreams; ++st) batch[st] = {ticks[t][st]};
+      ASSERT_TRUE(monitor->PushBatch(batch).ok());
       uint64_t want[3] = {0, 0, 0};  // certified pass, certified fail, other
       for (size_t st = 0; st < kStreams; ++st) {
         std::vector<double>& w = (*shadow)[st];
