@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "persist/snapshot.h"
@@ -530,19 +531,40 @@ Result<CheckpointBlobs> MonitorCodec::Serialize(
   // PushBatch waits, so the blobs capture one consistent state.
   MutexLock lock(monitor.state_mutex_.get());
 
+  // One cache lookup per distinct reference, in first-use stream order:
+  // streams sharing a PreparedReference share its original, alpha and
+  // shard, so each original is copied once and its stored fingerprint is
+  // read, not recomputed.
+  struct Reference {
+    std::vector<double> original;
+    double alpha = 0.0;
+    uint32_t shard = 0;
+    size_t exemplar = 0;  // the first stream using the reference
+    size_t local = 0;     // its index in its shard's reference table
+  };
   const size_t num_streams = monitor.streams_.size();
-  std::vector<std::vector<double>> originals(num_streams);
-  std::vector<double> alphas(num_streams, 0.0);
+  std::vector<Reference> refs;
+  std::unordered_map<const PreparedReference*, size_t> ref_index;
+  std::vector<size_t> ref_of(num_streams, 0);
   std::vector<uint32_t> shard_of(num_streams, 0);
+  std::vector<size_t> shard_ref_count(options.num_shards, 0);
   for (size_t i = 0; i < num_streams; ++i) {
-    if (!monitor.cache_->FindOriginal(monitor.streams_[i].prepared.get(),
-                                      &originals[i], &alphas[i])) {
-      return Status::Internal(StrFormat(
-          "stream %zu's prepared reference is not in the intern cache", i));
+    const PreparedReference* prepared = monitor.streams_[i].prepared.get();
+    const auto [it, inserted] = ref_index.emplace(prepared, refs.size());
+    if (inserted) {
+      Reference& ref = refs.emplace_back();
+      uint64_t fingerprint = 0;
+      if (!monitor.cache_->FindOriginal(prepared, &ref.original, &ref.alpha,
+                                        &fingerprint)) {
+        return Status::Internal(StrFormat(
+            "stream %zu's prepared reference is not in the intern cache", i));
+      }
+      ref.shard = static_cast<uint32_t>(fingerprint % options.num_shards);
+      ref.local = shard_ref_count[ref.shard]++;
+      ref.exemplar = i;
     }
-    shard_of[i] = static_cast<uint32_t>(
-        stream::ReferenceFingerprint(originals[i], alphas[i]) %
-        options.num_shards);
+    ref_of[i] = it->second;
+    shard_of[i] = refs[it->second].shard;
   }
 
   CheckpointBlobs blobs;
@@ -557,34 +579,26 @@ Result<CheckpointBlobs> MonitorCodec::Serialize(
 
     // This shard's members and its reference table in first-use order —
     // both derived from the stream indices, so the bytes are deterministic
-    // (an unordered_map walk here would break the fixed point).
+    // (an unordered_map walk here would break the fixed point). Every
+    // stream of a reference lands in the reference's shard, so the global
+    // first-use order restricted to this shard is the shard's own.
     std::vector<size_t> members;
-    std::vector<size_t> ref_exemplar;          // stream that first used ref
-    std::vector<size_t> ref_of(num_streams, 0);  // member -> ref index
     for (size_t i = 0; i < num_streams; ++i) {
-      if (shard_of[i] != s) continue;
-      members.push_back(i);
-      const PreparedReference* prepared = monitor.streams_[i].prepared.get();
-      size_t r = 0;
-      while (r < ref_exemplar.size() &&
-             monitor.streams_[ref_exemplar[r]].prepared.get() != prepared) {
-        ++r;
-      }
-      if (r == ref_exemplar.size()) ref_exemplar.push_back(i);
-      ref_of[i] = r;
+      if (shard_of[i] == s) members.push_back(i);
     }
 
     const bool sketched_mode =
         monitor.options_.reference_mode == ReferenceMode::kSketched;
 
     payload = writer.BeginSection(kSectionReferences);
-    bin::AppendU64Le(static_cast<uint64_t>(ref_exemplar.size()), payload);
-    for (size_t exemplar : ref_exemplar) {
-      bin::AppendDoubleArray(originals[exemplar], payload);
-      bin::AppendDoubleLe(alphas[exemplar], payload);
-      monitor.streams_[exemplar].prepared->SerializeTo(payload);
+    bin::AppendU64Le(static_cast<uint64_t>(shard_ref_count[s]), payload);
+    for (const Reference& ref : refs) {
+      if (ref.shard != s) continue;
+      bin::AppendDoubleArray(ref.original, payload);
+      bin::AppendDoubleLe(ref.alpha, payload);
+      monitor.streams_[ref.exemplar].prepared->SerializeTo(payload);
       if (sketched_mode) {
-        monitor.streams_[exemplar].sketched->SerializeTo(payload);
+        monitor.streams_[ref.exemplar].sketched->SerializeTo(payload);
       }
     }
     writer.EndSection();
@@ -596,7 +610,7 @@ Result<CheckpointBlobs> MonitorCodec::Serialize(
       const auto& st = monitor.streams_[i];
       bin::AppendU64Le(static_cast<uint64_t>(i), payload);
       bin::AppendString(st.name, payload);
-      bin::AppendU64Le(static_cast<uint64_t>(ref_of[i]), payload);
+      bin::AppendU64Le(static_cast<uint64_t>(refs[ref_of[i]].local), payload);
       bin::AppendU64Le(st.ticks, payload);
       bin::AppendU8(st.in_excursion ? 1 : 0, payload);
       bin::AppendU64Le(st.pushes_since_explained, payload);

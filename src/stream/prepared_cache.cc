@@ -1,7 +1,9 @@
 #include "stream/prepared_cache.h"
 
+#include <cstring>
 #include <utility>
 
+#include "ks/ks_test.h"
 #include "util/binary_io.h"
 #include "util/string_util.h"
 
@@ -33,6 +35,31 @@ inline uint64_t CanonicalDoubleBits(double v) {
   return bin::DoubleBits(v == 0.0 ? 0.0 : v);
 }
 
+// The murmur3 64-bit finalizer: a bijection that carries every input bit
+// into the low bits, which the lanes' multiply chains leave weak (a
+// product's bit i depends only on its operands' bits 0..i).
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDull;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ull;
+  x ^= x >> 33;
+  return x;
+}
+
+// The table's exact-match guard. Entries hold only finite values (every
+// maker validates, and InternRestored screens the original), so bit-equal
+// sequences are equal; a bitwise mismatch may still be equal under
+// operator== (a -0.0 against a +0.0), so it decides then.
+inline bool SameSequence(const std::vector<double>& stored,
+                         const std::vector<double>& reference) {
+  if (stored.size() != reference.size()) return false;
+  return stored.empty() ||
+         std::memcmp(stored.data(), reference.data(),
+                     stored.size() * sizeof(double)) == 0 ||
+         stored == reference;
+}
+
 // Moves a freshly built form into the shared, immutable handle the cache
 // interns.
 template <typename T>
@@ -58,13 +85,39 @@ uint64_t ReferenceFingerprint(const std::vector<double>& values,
   return hash;
 }
 
+namespace internal {
+
+uint64_t ReferenceContentKey(const std::vector<double>& values,
+                             double alpha) {
+  constexpr size_t kLanes = kContentKeyLanes;
+  constexpr uint64_t kMul = kContentKeyMultiplier;
+  uint64_t lanes[kLanes] = {};
+  const double* v = values.data();
+  const size_t n = values.size();
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      lanes[l] = (lanes[l] ^ CanonicalDoubleBits(v[i + l])) * kMul;
+    }
+  }
+  for (size_t l = 0; i < n; ++i, ++l) {
+    lanes[l] = (lanes[l] ^ CanonicalDoubleBits(v[i])) * kMul;
+  }
+  uint64_t key = Mix64(static_cast<uint64_t>(n) ^
+                       Mix64(CanonicalDoubleBits(alpha)));
+  for (uint64_t lane : lanes) key = Mix64(key ^ lane);
+  return key;
+}
+
+}  // namespace internal
+
 PreparedReferenceCache::Entry* PreparedReferenceCache::FindEntryLocked(
-    uint64_t fingerprint, const std::vector<double>& reference,
+    uint64_t content_key, const std::vector<double>& reference,
     double alpha) {
-  auto it = entries_.find(fingerprint);
+  auto it = entries_.find(content_key);
   if (it == entries_.end()) return nullptr;
   for (Entry& entry : it->second) {
-    if (entry.alpha == alpha && entry.original == reference) {
+    if (entry.alpha == alpha && SameSequence(entry.original, reference)) {
       entry.last_used = ++use_clock_;
       return &entry;
     }
@@ -74,8 +127,8 @@ PreparedReferenceCache::Entry* PreparedReferenceCache::FindEntryLocked(
 
 size_t PreparedReferenceCache::CountEntriesLocked() const {
   size_t count = 0;
-  for (const auto& [fingerprint, bucket] : entries_) {
-    (void)fingerprint;
+  for (const auto& [key, bucket] : entries_) {
+    (void)key;
     count += bucket.size();
   }
   return count;
@@ -122,9 +175,9 @@ Status PreparedReferenceCache::Intern(
     const Maker<sketch::SketchedReference>& make_sketched,
     std::shared_ptr<const PreparedReference>* prepared,
     std::shared_ptr<const sketch::SketchedReference>* sketched) {
-  const uint64_t fingerprint = ReferenceFingerprint(reference, alpha);
+  const uint64_t key = internal::ReferenceContentKey(reference, alpha);
   MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
+  Entry* entry = FindEntryLocked(key, reference, alpha);
   std::shared_ptr<const PreparedReference> exact =
       entry != nullptr ? entry->prepared : nullptr;
   std::shared_ptr<const sketch::SketchedReference> summary =
@@ -146,8 +199,11 @@ Status PreparedReferenceCache::Intern(
 
   if (entry == nullptr) {
     EvictIfOverCapacityLocked();
-    std::vector<Entry>& bucket = entries_[fingerprint];
-    bucket.push_back(Entry{reference, alpha, nullptr, nullptr, ++use_clock_});
+    // The wire fingerprint is paid here, once per entry, never on a hit.
+    std::vector<Entry>& bucket = entries_[key];
+    bucket.push_back(Entry{reference, alpha,
+                           ReferenceFingerprint(reference, alpha), nullptr,
+                           nullptr, ++use_clock_});
     entry = &bucket.back();
   }
   if (prepared != nullptr) {
@@ -213,6 +269,9 @@ PreparedReferenceCache::InternRestored(
     return Status::InvalidArgument(
         "restored reference size does not match its cache key");
   }
+  // The sorted form was screened on deserialization; the key sequence
+  // must be too, since the table's bitwise compare trusts its entries.
+  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(original, "restored reference"));
   std::shared_ptr<const PreparedReference> interned;
   MOCHE_RETURN_IF_ERROR(Intern(
       original, alpha, /*count_use=*/false,
@@ -227,14 +286,16 @@ PreparedReferenceCache::InternRestored(
 
 bool PreparedReferenceCache::FindOriginal(const PreparedReference* prepared,
                                           std::vector<double>* original,
-                                          double* alpha) const {
+                                          double* alpha,
+                                          uint64_t* fingerprint) const {
   MutexLock lock(&mutex_);
-  for (const auto& [fingerprint, bucket] : entries_) {
-    (void)fingerprint;
+  for (const auto& [key, bucket] : entries_) {
+    (void)key;
     for (const Entry& entry : bucket) {
       if (entry.prepared.get() == prepared) {
         *original = entry.original;
         *alpha = entry.alpha;
+        *fingerprint = entry.fingerprint;
         return true;
       }
     }
@@ -245,8 +306,8 @@ bool PreparedReferenceCache::FindOriginal(const PreparedReference* prepared,
 PreparedReferenceCache::Stats PreparedReferenceCache::stats() const {
   MutexLock lock(&mutex_);
   Stats s;
-  for (const auto& [fingerprint, bucket] : entries_) {
-    (void)fingerprint;
+  for (const auto& [key, bucket] : entries_) {
+    (void)key;
     s.entries += bucket.size();
     for (const Entry& entry : bucket) {
       s.resident_bytes += entry.original.capacity() * sizeof(double);

@@ -295,6 +295,110 @@ TEST(MonitorCodecTest, SketchedFleetRoundTripIsAByteFixedPoint) {
   }
 }
 
+// A small monitor built from closed-form values (no RNG, no libm in the
+// data): two references shared by four streams, fed an in-distribution
+// stretch and then a shifted one, so every mode checkpoints full windows,
+// excursion state and a few events.
+stream::DriftMonitor BuildGoldenMonitor(stream::ReferenceMode mode) {
+  stream::MonitorOptions options;
+  options.reference_mode = mode;
+  options.sketch_k = 16;
+  auto monitor = stream::DriftMonitor::Create(options);
+  EXPECT_TRUE(monitor.ok()) << monitor.status().ToString();
+  std::vector<double> low(64);
+  std::vector<double> high(48);
+  for (size_t i = 0; i < low.size(); ++i) {
+    low[i] = static_cast<double>((i * 37) % 101) / 4.0;
+  }
+  for (size_t i = 0; i < high.size(); ++i) {
+    high[i] = 10.0 + static_cast<double>((i * 53) % 89) / 8.0;
+  }
+  for (size_t s = 0; s < 4; ++s) {
+    auto index = monitor->AddStream("golden-" + std::to_string(s),
+                                    s % 2 == 0 ? low : high,
+                                    /*window_size=*/16);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+  }
+  std::vector<std::vector<double>> batch(4);
+  for (int round = 0; round < 4; ++round) {
+    for (size_t s = 0; s < 4; ++s) {
+      const std::vector<double>& ref = s % 2 == 0 ? low : high;
+      batch[s].clear();
+      for (size_t t = 0; t < 12; ++t) {
+        const double shift = round >= 2 && s != 3 ? 30.0 + s : 0.0;
+        batch[s].push_back(ref[(t * 7 + round * 12 + s) % ref.size()] +
+                           shift);
+      }
+    }
+    EXPECT_TRUE(monitor->PushBatch(batch).ok());
+  }
+  return std::move(*monitor);
+}
+
+// CRC32C of a snapshot file with each section's trailing CRC word left
+// out. The whole-file CRC32C would pin almost nothing: a CRC run over a
+// frame followed by that frame's own CRC cancels the frame's contents, so
+// the whole-file value depends only on the header and the section lengths.
+uint32_t ContentCrc(const std::string& bytes) {
+  uint32_t crc = ExtendCrc32c(0, bytes.data(), kSnapshotMagicSize + 4);
+  auto reader = SnapshotReader::Open(bytes, "golden.snap");
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return 0;
+  SnapshotSection section;
+  bool done = false;
+  while (reader->Next(&section, &done).ok() && !done) {
+    std::string framed;
+    bin::AppendU32Le(section.id, &framed);
+    bin::AppendU64Le(static_cast<uint64_t>(section.payload.size()), &framed);
+    framed.append(section.payload);
+    crc = ExtendCrc32c(crc, framed.data(), framed.size());
+  }
+  return crc;
+}
+
+// Pins the checkpoint bytes themselves, not just their fixed point: a
+// refactor of the codec or of the reference cache must leave every byte of
+// the manifest and of each shard unchanged. The two references land in
+// shards 0 and 2; shard 1 holds no stream. A deliberate layout change
+// bumps kSnapshotFormatVersion and re-records these values.
+TEST(CheckpointGoldenTest, ManifestAndShardBytesArePinned) {
+  struct Golden {
+    stream::ReferenceMode mode;
+    uint32_t manifest;
+    uint32_t shards[3];
+    size_t shard_sizes[3];
+  };
+  const Golden goldens[] = {
+      {stream::ReferenceMode::kExact,
+       0x5eed9917u,
+       {0x00dd4e98u, 0xc6a71275u, 0x44b19983u},
+       {1645, 108, 2164}},
+      {stream::ReferenceMode::kSketched,
+       0x01094548u,
+       {0x627bba9eu, 0xc6a71275u, 0x40d95112u},
+       {1821, 108, 2284}},
+  };
+  for (const Golden& golden : goldens) {
+    const bool sketched = golden.mode == stream::ReferenceMode::kSketched;
+    SCOPED_TRACE(sketched ? "sketched" : "exact");
+    stream::DriftMonitor monitor = BuildGoldenMonitor(golden.mode);
+    EXPECT_EQ(monitor.events().size(), 3u);
+    EXPECT_EQ(monitor.cache_stats().entries, 2u);
+    CheckpointOptions options;
+    options.num_shards = 3;
+    auto blobs = MonitorCodec::Serialize(monitor, options);
+    ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+    ASSERT_EQ(blobs->shards.size(), 3u);
+    EXPECT_EQ(ContentCrc(blobs->manifest), golden.manifest);
+    for (size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(blobs->shards[s].size(), golden.shard_sizes[s]) << "shard "
+                                                                << s;
+      EXPECT_EQ(ContentCrc(blobs->shards[s]), golden.shards[s]) << "shard "
+                                                                << s;
+    }
+  }
+}
+
 TEST(MonitorCodecTest, RestoreThreadCountIsAFreeChoice) {
   stream::DriftMonitor monitor = BuildLoadedMonitor(/*streams=*/4,
                                                     /*batch_ticks=*/32);

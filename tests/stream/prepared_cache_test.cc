@@ -1,10 +1,14 @@
 #include "stream/prepared_cache.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/binary_io.h"
 
 namespace moche {
 namespace stream {
@@ -54,6 +58,34 @@ TEST(ReferenceFingerprintTest, GoldenSequencesPinTheWireHash) {
   EXPECT_EQ(ReferenceFingerprint({42.0}, 1.9999), 0xf546d57958226be7ull);
 }
 
+TEST(ReferenceContentKeyTest, SensitiveToValuesOrderCountAndAlpha) {
+  // 11 values: one full block of lanes plus a 3-value tail.
+  const std::vector<double> a{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  std::vector<double> swapped = a;
+  std::swap(swapped[0], swapped[8]);  // same lane, different order
+  std::vector<double> tail = a;
+  tail[10] = 11.5;
+  std::vector<double> longer = a;
+  longer.push_back(0.0);  // a zero leaves its lane at 0: only the count differs
+  const uint64_t key = internal::ReferenceContentKey(a, 0.05);
+  EXPECT_EQ(internal::ReferenceContentKey(a, 0.05), key);
+  EXPECT_NE(internal::ReferenceContentKey(swapped, 0.05), key);
+  EXPECT_NE(internal::ReferenceContentKey(tail, 0.05), key);
+  EXPECT_NE(internal::ReferenceContentKey(longer, 0.05), key);
+  EXPECT_NE(internal::ReferenceContentKey(a, 0.01), key);
+}
+
+TEST(ReferenceContentKeyTest, CanonicalizesSignedZeroInBodyAndTail) {
+  std::vector<double> plus(11, 1.5);
+  plus[2] = 0.0;   // in the first block of lanes
+  plus[9] = 0.0;   // in the tail
+  std::vector<double> minus = plus;
+  minus[2] = -0.0;
+  minus[9] = -0.0;
+  EXPECT_EQ(internal::ReferenceContentKey(plus, 0.05),
+            internal::ReferenceContentKey(minus, 0.05));
+}
+
 TEST(PreparedReferenceCacheTest, SignedZeroReferencesShareOneEntry) {
   Moche engine;
   PreparedReferenceCache cache;
@@ -70,6 +102,91 @@ TEST(PreparedReferenceCacheTest, SignedZeroReferencesShareOneEntry) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(PreparedReferenceCacheTest, SignedZeroTwinsShareOneSketchedEntry) {
+  Moche engine;
+  PreparedReferenceCache cache;
+  const std::vector<double> plus{0.0, 1.0, 2.0, 3.0};
+  const std::vector<double> minus{-0.0, 1.0, 2.0, 3.0};
+  sketch::KllOptions kll;
+  kll.capacity = 32;
+
+  auto first = cache.GetOrSketch(plus, 0.05, kll);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = cache.GetOrSketch(minus, 0.05, kll);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->get(), second->get());
+  // Both forms through one lookup on the twin: the summary is a hit.
+  std::shared_ptr<const sketch::SketchedReference> sketched;
+  ASSERT_TRUE(cache.GetOrPrepare(engine, minus, 0.05, &sketched, kll).ok());
+  EXPECT_EQ(sketched.get(), first->get());
+
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 2u);  // the summary, then the exact form
+  EXPECT_EQ(stats.hits, 2u);
+}
+
+// A content-key collision between two different finite references must
+// not merge them: the exact comparison decides. Each lane starts at 0 and
+// steps h <- (h ^ b) * K, so values 0 and kContentKeyLanes both feed lane
+// 0, which ends at ((b0 * K) ^ b8) * K. Replacing b0 by c0 and b8 by
+// c8 = (b0 * K) ^ (c0 * K) ^ b8 leaves lane 0, and so the key, unchanged.
+TEST(PreparedReferenceCacheTest, ContentKeyCollisionsStayDistinctEntries) {
+  constexpr uint64_t kMul = internal::kContentKeyMultiplier;
+  constexpr size_t kLane0Second = internal::kContentKeyLanes;
+  std::vector<double> a(2 * internal::kContentKeyLanes);
+  for (size_t i = 0; i < a.size(); ++i) a[i] = 1.0 + static_cast<double>(i);
+  std::vector<double> b;
+  for (int candidate = 1; candidate <= 64 && b.empty(); ++candidate) {
+    const double c0 = a[0] + 0.5 * candidate;
+    const double c8 = bin::DoubleFromBits(
+        (bin::DoubleBits(a[0]) * kMul) ^ (bin::DoubleBits(c0) * kMul) ^
+        bin::DoubleBits(a[kLane0Second]));
+    // A non-finite value is no valid reference; a zero would be
+    // canonicalized before hashing.
+    if (!std::isfinite(c8) || c8 == 0.0) continue;
+    b = a;
+    b[0] = c0;
+    b[kLane0Second] = c8;
+  }
+  ASSERT_FALSE(b.empty()) << "no finite colliding candidate found";
+  ASSERT_NE(a, b);
+  ASSERT_EQ(internal::ReferenceContentKey(a, 0.05),
+            internal::ReferenceContentKey(b, 0.05));
+  ASSERT_NE(ReferenceFingerprint(a, 0.05), ReferenceFingerprint(b, 0.05));
+
+  Moche engine;
+  PreparedReferenceCache cache;
+  auto pa = cache.GetOrPrepare(engine, a, 0.05);
+  auto pb = cache.GetOrPrepare(engine, b, 0.05);
+  ASSERT_TRUE(pa.ok()) << pa.status().ToString();
+  ASSERT_TRUE(pb.ok()) << pb.status().ToString();
+  EXPECT_NE(pa->get(), pb->get());
+  std::vector<double> sorted_a = a;
+  std::vector<double> sorted_b = b;
+  std::sort(sorted_a.begin(), sorted_a.end());
+  std::sort(sorted_b.begin(), sorted_b.end());
+  EXPECT_EQ((*pa)->sorted_reference(), sorted_a);
+  EXPECT_EQ((*pb)->sorted_reference(), sorted_b);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // Later lookups in the shared bucket still find their own entry.
+  auto again_b = cache.GetOrPrepare(engine, b, 0.05);
+  auto again_a = cache.GetOrPrepare(engine, a, 0.05);
+  ASSERT_TRUE(again_a.ok());
+  ASSERT_TRUE(again_b.ok());
+  EXPECT_EQ(again_a->get(), pa->get());
+  EXPECT_EQ(again_b->get(), pb->get());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  std::vector<double> original;
+  double alpha = 0.0;
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(cache.FindOriginal(pb->get(), &original, &alpha, &fingerprint));
+  EXPECT_EQ(original, b);
+  EXPECT_EQ(fingerprint, ReferenceFingerprint(b, 0.05));
 }
 
 TEST(PreparedReferenceCacheTest, InternsIdenticalReferences) {
@@ -163,6 +280,10 @@ TEST(PreparedReferenceCacheTest, InternRestoredRejectsInconsistentSplices) {
   EXPECT_FALSE(wrong_alpha.ok());
   auto wrong_size = cache.InternRestored({1.0, 2.0}, 0.05, *prepared);
   EXPECT_FALSE(wrong_size.ok());
+  // The key sequence is screened like the sorted sample: the table's
+  // bitwise compare must never meet a NaN.
+  auto non_finite = cache.InternRestored({1.0, NAN, 3.0}, 0.05, *prepared);
+  EXPECT_EQ(non_finite.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
@@ -178,18 +299,58 @@ TEST(PreparedReferenceCacheTest, FindOriginalRecoversTheUnsortedKey) {
 
   std::vector<double> original;
   double alpha = 0.0;
-  ASSERT_TRUE(cache.FindOriginal(a->get(), &original, &alpha));
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(cache.FindOriginal(a->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(original, ref_a);  // the raw sequence, not the sorted one
   EXPECT_EQ(alpha, 0.05);
-  ASSERT_TRUE(cache.FindOriginal(b->get(), &original, &alpha));
+  EXPECT_EQ(fingerprint, ReferenceFingerprint(ref_a, 0.05));
+  ASSERT_TRUE(cache.FindOriginal(b->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(original, ref_b);
   EXPECT_EQ(alpha, 0.01);
+  EXPECT_EQ(fingerprint, ReferenceFingerprint(ref_b, 0.01));
 
   // Pointer identity, not value equality: an equal reference prepared
   // outside the cache is not interned here.
   auto foreign = engine.Prepare(ref_a, 0.05);
   ASSERT_TRUE(foreign.ok());
-  EXPECT_FALSE(cache.FindOriginal(&*foreign, &original, &alpha));
+  EXPECT_FALSE(
+      cache.FindOriginal(&*foreign, &original, &alpha, &fingerprint));
+}
+
+// The wire fingerprint is computed once, when an entry is inserted; every
+// insert path must store exactly ReferenceFingerprint(original, alpha).
+TEST(PreparedReferenceCacheTest, StoredFingerprintIsTheWireHashForEveryEntry) {
+  Moche engine;
+  PreparedReferenceCache cache;
+  sketch::KllOptions kll;
+  kll.capacity = 32;
+  const std::vector<double> live{5.0, -0.0, 3.0, 2.0, 4.0};
+  const std::vector<double> sketch_first{9.0, 8.0, 7.0, 6.0};
+  const std::vector<double> restored{0.5, 0.25, 0.75};
+
+  std::vector<const PreparedReference*> interned;
+  auto p_live = cache.GetOrPrepare(engine, live, 0.05);
+  ASSERT_TRUE(p_live.ok());
+  interned.push_back(p_live->get());
+  // An entry inserted by the summary alone, its exact form attached later.
+  ASSERT_TRUE(cache.GetOrSketch(sketch_first, 0.01, kll).ok());
+  auto p_sketch = cache.GetOrPrepare(engine, sketch_first, 0.01);
+  ASSERT_TRUE(p_sketch.ok());
+  interned.push_back(p_sketch->get());
+  auto prepared = engine.Prepare(restored, 0.1);
+  ASSERT_TRUE(prepared.ok());
+  auto p_restored = cache.InternRestored(restored, 0.1, *prepared);
+  ASSERT_TRUE(p_restored.ok());
+  interned.push_back(p_restored->get());
+  ASSERT_EQ(cache.stats().entries, 3u);
+
+  for (const PreparedReference* p : interned) {
+    std::vector<double> original;
+    double alpha = 0.0;
+    uint64_t fingerprint = 0;
+    ASSERT_TRUE(cache.FindOriginal(p, &original, &alpha, &fingerprint));
+    EXPECT_EQ(fingerprint, ReferenceFingerprint(original, alpha));
+  }
 }
 
 TEST(PreparedReferenceCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {
