@@ -11,9 +11,13 @@
 // arbitrary probe orders, that ConstructQualifiedVector's witness is a
 // genuine sub-multiset of T of the requested size, and that the phase-2
 // checker's closed-form Theorem-3 check agrees with the paper's full
-// recursion on every candidate of a greedy scan (it draws no input bytes,
-// so the committed corpus keeps its meaning).
+// recursion on every candidate of a greedy scan, and that the anchored
+// frame (CumulativeFrame::BuildAnchoredInto) answers Theorem 1, Theorem 2,
+// a SizeScan walk and the checker's Reset exactly as the full frame does
+// at every h (the last two legs draw no input bytes, so the committed
+// corpus keeps its meaning).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -147,6 +151,38 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     MOCHE_FUZZ_CHECK(checker.accepted_count() == h,
                      "greedy scan accepted %zu of h=%zu points",
                      checker.accepted_count(), h);
+  }
+
+  // The anchored frame keeps only the test values and the ends of the
+  // reference-only runs; every decision must match the full frame's.
+  std::vector<double> r_sorted = inst.reference;
+  std::vector<double> t_sorted = inst.test;
+  std::sort(r_sorted.begin(), r_sorted.end());
+  std::sort(t_sorted.begin(), t_sorted.end());
+  moche::CumulativeFrame anchored;
+  moche::CumulativeFrame::BuildAnchoredInto(r_sorted, t_sorted, &anchored);
+  MOCHE_FUZZ_CHECK(anchored.n() == n && anchored.m() == m &&
+                       anchored.q() <= frame->q(),
+                   "anchored frame n=%zu m=%zu q=%zu vs full q=%zu",
+                   anchored.n(), anchored.m(), anchored.q(), frame->q());
+  const moche::BoundsEngine anchored_engine(anchored, inst.alpha);
+  moche::SizeScan full_walk(engine);
+  moche::SizeScan anchored_walk(anchored_engine);
+  moche::PartialExplanationChecker anchored_checker;
+  for (size_t h = 0; h < m; ++h) {
+    const bool full_exists = engine.ExistsQualified(h);
+    MOCHE_FUZZ_CHECK(anchored_engine.ExistsQualified(h) == full_exists,
+                     "anchored Theorem 1 differs at h=%zu", h);
+    MOCHE_FUZZ_CHECK(anchored_engine.NecessaryCondition(h) ==
+                         engine.NecessaryCondition(h),
+                     "anchored Theorem 2 differs at h=%zu", h);
+    MOCHE_FUZZ_CHECK(anchored_walk.ExistsQualified(h) ==
+                         full_walk.ExistsQualified(h),
+                     "anchored SizeScan differs at h=%zu", h);
+    if (h == 0) continue;
+    MOCHE_FUZZ_CHECK(checker.Reset(engine, h).ok() ==
+                         anchored_checker.Reset(anchored_engine, h).ok(),
+                     "anchored checker Reset differs at h=%zu", h);
   }
   return 0;
 }

@@ -11,13 +11,24 @@
 // or search counters. FindExplanationSize* must agree with the report's
 // phase-1 numbers, report.after must match T \ I rebuilt by index mask and
 // std::sort, and EvaluateBatchPrepared must match ks::Run per window.
+//
+// Two more legs hold the anchored explain path (a frame of test values and
+// reference-run ends, core/cumulative.h) to a full-frame oracle built from
+// CumulativeFrame::Build -> BoundsEngine -> SizeSearcher ->
+// BuildMostComprehensible: a reference at least 8x the window with the
+// window packed into a narrow slice of it (long reference-only runs on both
+// sides), and a tie-heavy pair on a shared small alphabet. They draw their
+// bytes after every older leg, so the committed corpus keeps its meaning.
 
 #include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
 
+#include "core/bounds.h"
+#include "core/cumulative.h"
 #include "core/moche.h"
+#include "core/size_search.h"
 #include "core/workspace.h"
 #include "fuzz_target.h"
 #include "ks/ks_test.h"
@@ -95,6 +106,60 @@ void CheckReportsIdentical(const moche::MocheReport& a,
                        a.build_stats.recursion_steps ==
                            b.build_stats.recursion_steps,
                    "window %zu: %s build counters differ", window, what);
+}
+
+// The anchored pipeline (ExplainPreparedInto with default options) against
+// the full-frame oracle on one (reference, test) pair: same status, same
+// k, k_hat and indices, bit-equal original and after outcomes.
+void CheckAgainstFullFrame(const std::vector<double>& reference,
+                           const std::vector<double>& test, double alpha,
+                           const moche::PreferenceList& pref,
+                           moche::ExplainWorkspace* workspace,
+                           const char* leg) {
+  const moche::Moche engine;
+  auto prepared = engine.Prepare(reference, alpha);
+  MOCHE_FUZZ_CHECK(prepared.ok(), "%s: Prepare failed", leg);
+  moche::MocheReport report;
+  const moche::Status status =
+      engine.ExplainPreparedInto(*prepared, test, pref, workspace, &report);
+
+  // T \ {} through the merge-based oracle is the original test.
+  const moche::KsOutcome original = MaskAndSortAfter(
+      prepared->sorted_reference(), test, alpha, moche::Explanation{});
+  if (!original.reject) {
+    MOCHE_FUZZ_CHECK(status.code() == moche::StatusCode::kAlreadyPasses,
+                     "%s: passing pair gave %s", leg,
+                     moche::StatusCodeToString(status.code()));
+    return;
+  }
+  auto frame = moche::CumulativeFrame::Build(reference, test);
+  MOCHE_FUZZ_CHECK(frame.ok(), "%s: CumulativeFrame::Build failed", leg);
+  const moche::BoundsEngine bounds(*frame, alpha);
+  auto size = moche::SizeSearcher(bounds).FindSize();
+  if (!size.ok()) {
+    MOCHE_FUZZ_CHECK(status.code() == size.status().code(),
+                     "%s: oracle says %s, pipeline %s", leg,
+                     moche::StatusCodeToString(size.status().code()),
+                     moche::StatusCodeToString(status.code()));
+    return;
+  }
+  MOCHE_FUZZ_CHECK(status.ok(), "%s: pipeline failed where the oracle "
+                   "explains: %s", leg, status.message().c_str());
+  auto explanation =
+      moche::BuildMostComprehensible(bounds, size->k, test, pref);
+  MOCHE_FUZZ_CHECK(explanation.ok(), "%s: oracle phase 2 failed: %s", leg,
+                   explanation.status().message().c_str());
+  MOCHE_FUZZ_CHECK(report.k == size->k && report.k_hat == size->k_hat,
+                   "%s: k=%zu k_hat=%zu vs oracle k=%zu k_hat=%zu", leg,
+                   report.k, report.k_hat, size->k, size->k_hat);
+  MOCHE_FUZZ_CHECK(report.explanation.indices == explanation->indices,
+                   "%s: explanation indices differ from the oracle", leg);
+  CheckOutcomesIdentical(report.original, original, leg, 0);
+  CheckOutcomesIdentical(
+      report.after,
+      MaskAndSortAfter(prepared->sorted_reference(), test, alpha,
+                       *explanation),
+      leg, 0);
 }
 
 }  // namespace
@@ -227,6 +292,52 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     MOCHE_FUZZ_CHECK(direct.ok(), "direct recompute failed: %s",
                      direct.status().message().c_str());
     CheckOutcomesIdentical(outcomes[w], *direct, "EvaluateBatchPrepared", w);
+  }
+
+  // A reference at least 8x the window, the window drawn from a narrow
+  // slice of the sorted reference (or, per value, anywhere), so the frame
+  // keeps a handful of coordinates out of the reference's many.
+  {
+    const size_t m = in.SizeInRange(2, 12);
+    const size_t big_n = 8 * m + in.SizeInRange(0, 64);
+    std::vector<double> big;
+    if (in.Bool()) {
+      in.TiedArray(big_n, static_cast<int>(in.SizeInRange(1, 40)), &big);
+    } else {
+      in.FiniteArray(big_n, &big);
+    }
+    std::vector<double> big_sorted = big;
+    std::sort(big_sorted.begin(), big_sorted.end());
+    const size_t start = in.SizeInRange(0, big_n - 1);
+    const size_t spread = in.SizeInRange(0, 4);
+    std::vector<double> test(m);
+    for (double& v : test) {
+      v = in.Bool() ? big_sorted[std::min(big_n - 1,
+                                          start + in.SizeInRange(0, spread))]
+                    : in.FiniteValue();
+    }
+    moche::PreferenceList pref = moche::IdentityPreference(m);
+    for (size_t i = m; i > 1; --i) {
+      std::swap(pref[i - 1], pref[in.SizeInRange(0, i - 1)]);
+    }
+    CheckAgainstFullFrame(big, test, in.Alpha(), pref, &workspace,
+                          "large reference");
+  }
+  // Tie-heavy: both samples on one small alphabet.
+  {
+    const size_t tie_n = in.SizeInRange(1, 60);
+    const size_t m = in.SizeInRange(2, 16);
+    const int letters = static_cast<int>(in.SizeInRange(1, 5));
+    std::vector<double> tie_reference;
+    std::vector<double> test;
+    in.TiedArray(tie_n, letters, &tie_reference);
+    in.TiedArray(m, letters, &test);
+    moche::PreferenceList pref = moche::IdentityPreference(m);
+    for (size_t i = m; i > 1; --i) {
+      std::swap(pref[i - 1], pref[in.SizeInRange(0, i - 1)]);
+    }
+    CheckAgainstFullFrame(tie_reference, test, in.Alpha(), pref, &workspace,
+                          "tie-heavy");
   }
   return 0;
 }

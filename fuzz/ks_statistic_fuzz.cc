@@ -1,5 +1,5 @@
 // Differential oracle: ks::Statistic / StatisticSorted /
-// StatisticSortedScratch against a naive double-loop ECDF reference.
+// StatisticAnchored against a naive double-loop ECDF reference.
 //
 // The reference recomputes D(R,T) the textbook way — for every grid value
 // x, count r <= x and t <= x with two linear scans and take
@@ -112,20 +112,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    "StatisticSorted location %.17g != naive %.17g",
                    sorted_loc, naive_loc);
 
-  // Run the scratch variant twice through one warm scratch: the second call
-  // checks buffer recycling does not leak state between instances.
-  moche::ks::KsSweepScratch scratch;
-  for (int pass = 0; pass < 2; ++pass) {
-    double scratch_loc = 0.0;
-    const double via_scratch = moche::ks::StatisticSortedScratch(
-        r_sorted, t_sorted, &scratch, &scratch_loc);
-    MOCHE_FUZZ_CHECK(SameBits(via_scratch, naive),
-                     "StatisticSortedScratch pass %d %.17g != naive %.17g",
-                     pass, via_scratch, naive);
-    MOCHE_FUZZ_CHECK(scratch_loc == naive_loc,
-                     "StatisticSortedScratch pass %d location mismatch",
-                     pass);
-  }
+  // The test-anchored walk visits only a subset of the grid, so its
+  // statistic and first-maximum location must still match bit for bit.
+  double anchored_loc = 0.0;
+  const double anchored =
+      moche::ks::StatisticAnchored(r_sorted, t_sorted, &anchored_loc);
+  MOCHE_FUZZ_CHECK(SameBits(anchored, naive),
+                   "StatisticAnchored %.17g != naive %.17g (n=%zu m=%zu)",
+                   anchored, naive, n, m);
+  MOCHE_FUZZ_CHECK(anchored_loc == naive_loc,
+                   "StatisticAnchored location %.17g != naive %.17g",
+                   anchored_loc, naive_loc);
+  // Against the merge, the location's bits too: both take a grid value's
+  // first copy, so a -0.0/+0.0 tie resolves the same way in each.
+  MOCHE_FUZZ_CHECK(SameBits(anchored_loc, sorted_loc),
+                   "StatisticAnchored location bits %.17g != merge %.17g",
+                   anchored_loc, sorted_loc);
 
   // The full three-step test: reject must be exactly D > threshold.
   if (!r.empty() && !t.empty()) {

@@ -47,21 +47,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const double hh_d = in.FiniteValue();
   const double seed_max = in.FiniteValue();
 
-  // Cumulative-count style operands for the sweeps.
+  // Cumulative-count style operands for the RemovalKs sweep.
   std::vector<int64_t> count_t(len);
   std::vector<int64_t> removed(len);
   std::vector<double> cum_r_d(len);
-  std::vector<double> cum_t_d(len);
   {
     int64_t acc_r = 0;
-    int64_t acc_t = 0;
     for (size_t i = 0; i < len; ++i) {
       count_t[i] = in.IntInRange(0, 20);
       removed[i] = in.IntInRange(0, count_t[i]);
       acc_r += in.IntInRange(0, 20);
-      acc_t += count_t[i];
       cum_r_d[i] = static_cast<double>(acc_r);
-      cum_t_d[i] = static_cast<double>(acc_t);
     }
   }
   const double n = static_cast<double>(in.SizeInRange(1, 1000));
@@ -108,22 +104,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       MOCHE_FUZZ_CHECK(SameBits(max_s, max_v),
                        "[%s] theorem2 running max %.17g != scalar %.17g",
                        name, max_v, max_s);
-    }
-    {
-      size_t best_s = SIZE_MAX;
-      size_t best_v = SIZE_MAX;
-      const double d_s =
-          scalar.ecdf_sweep_cum(cum_r_d.data(), cum_t_d.data(), len, n, m,
-                                &best_s);
-      const double d_v =
-          vec.ecdf_sweep_cum(cum_r_d.data(), cum_t_d.data(), len, n, m,
-                             &best_v);
-      MOCHE_FUZZ_CHECK(SameBits(d_s, d_v),
-                       "[%s] ecdf_sweep_cum %.17g != scalar %.17g", name,
-                       d_v, d_s);
-      MOCHE_FUZZ_CHECK(best_s == best_v,
-                       "[%s] ecdf_sweep_cum best index %zu != scalar %zu",
-                       name, best_v, best_s);
     }
     {
       size_t best_s = SIZE_MAX;

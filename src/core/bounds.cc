@@ -15,9 +15,9 @@ namespace {
 // Lemma 1 algebra and the direct KS comparison.
 constexpr double kAbsTol = 1e-9;
 constexpr double kRelTol = 1e-12;
+}  // namespace
 
 double TolFor(double x) { return kAbsTol + kRelTol * std::fabs(x); }
-}  // namespace
 
 int64_t CeilTol(double x) {
   return static_cast<int64_t>(std::ceil(x - TolFor(x)));

@@ -46,6 +46,10 @@ namespace moche {
 int64_t CeilTol(double x);
 int64_t FloorTol(double x);
 
+/// The slack both apply, 1e-9 + 1e-12 |x|. Equation 5c uses it directly:
+/// M - Omega must not exceed (Gamma + Omega) + TolFor(Gamma).
+double TolFor(double x);
+
 class BoundsEngine {
  public:
   /// An unbound engine: every query requires a Reset (or the binding
@@ -77,7 +81,8 @@ class BoundsEngine {
                          std::vector<int64_t>* upper) const;
 
   /// Theorem 1: true iff a qualified h-cumulative vector (equivalently a
-  /// qualified h-subset) exists. O(n + m) with early exit.
+  /// qualified h-subset) exists. O(q) with early exit, where the frame's
+  /// q <= min(n + m, 2 d_T + 2) when it is anchored (core/cumulative.h).
   bool ExistsQualified(size_t h) const;
 
   /// On a false ExistsQualifiedWithFailure result: the first coordinate
@@ -151,7 +156,7 @@ class BoundsEngine {
 /// already proves l_{i*} > u_{i*} — an O(1) refutation. The bounds-conflict
 /// region moves slowly with h, so consecutive sizes usually fail at the
 /// same coordinates and the walk degenerates to O(1) per size; whenever the
-/// O(1) probe cannot refute, the full O(n+m) check runs and re-seeds the
+/// O(1) probe cannot refute, the full O(q) check runs and re-seeds the
 /// state. Every answer is bit-identical to BoundsEngine::ExistsQualified —
 /// the probe only short-circuits sizes whose failure it proves outright.
 ///
@@ -163,7 +168,7 @@ class SizeScan {
   /// Bit-identical to engine.ExistsQualified(h), in any call order.
   bool ExistsQualified(size_t h);
 
-  /// Sizes refuted by the O(1) probe vs full O(n+m) scans, for tests and
+  /// Sizes refuted by the O(1) probe vs full O(q) scans, for tests and
   /// the efficiency counters.
   size_t probe_refutations() const { return probe_refutations_; }
   size_t full_scans() const { return full_scans_; }

@@ -1,7 +1,9 @@
 #include "core/cumulative.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "ks/anchors.h"
 #include "ks/ks_test.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -62,6 +64,41 @@ void CumulativeFrame::BuildFromSortedUncheckedInto(
     out->cum_r_.push_back(static_cast<int64_t>(i));
     out->cum_t_.push_back(static_cast<int64_t>(j));
   }
+}
+
+void CumulativeFrame::BuildAnchoredInto(const std::vector<double>& r_sorted,
+                                        const std::vector<double>& t_sorted,
+                                        CumulativeFrame* out) {
+  MOCHE_DCHECK(!r_sorted.empty() && !t_sorted.empty());
+  MOCHE_DCHECK(std::is_sorted(r_sorted.begin(), r_sorted.end()));
+  MOCHE_DCHECK(std::is_sorted(t_sorted.begin(), t_sorted.end()));
+
+  out->n_ = r_sorted.size();
+  out->m_ = t_sorted.size();
+  out->values_.clear();
+  out->cum_r_.clear();
+  out->cum_t_.clear();
+  // 2 d_T + 2 <= 2 m + 2 anchors, so the capacity follows the window, not
+  // the reference.
+  const size_t q_bound = 2 * t_sorted.size() + 2;
+  out->values_.reserve(q_bound);
+  out->cum_r_.reserve(q_bound + 1);
+  out->cum_t_.reserve(q_bound + 1);
+  out->cum_r_.push_back(0);
+  out->cum_t_.push_back(0);
+  ks::internal::ForEachAnchor(
+      r_sorted, t_sorted, [out](double x, size_t cr, size_t ct) {
+        out->values_.push_back(x);
+        out->cum_r_.push_back(static_cast<int64_t>(cr));
+        out->cum_t_.push_back(static_cast<int64_t>(ct));
+      });
+}
+
+bool CumulativeFrame::AnchoredIsExact(size_t n, size_t m, double c_alpha) {
+  const double dn = static_cast<double>(n);
+  const double dm = static_cast<double>(m);
+  const double omega0 = c_alpha * std::sqrt(dm + dm * dm / dn);
+  return dn * (dm + omega0 + 1.0) < 0x1p49;
 }
 
 Result<size_t> CumulativeFrame::IndexOfValue(double value) const {

@@ -37,15 +37,15 @@ Status ValidatedSortedCopyInto(const std::vector<double>& sample,
 }
 
 // The KS test of two validated, sorted, non-empty samples; bit-identical
-// to ks::RunSorted, with the sweep merged into `sweep`.
+// to ks::RunSorted, walking only the test-anchored grid points.
 KsOutcome SortedOutcome(const std::vector<double>& reference,
-                        const std::vector<double>& test_sorted, double alpha,
-                        ks::KsSweepScratch* sweep) {
+                        const std::vector<double>& test_sorted,
+                        double alpha) {
   KsOutcome out;
   out.n = reference.size();
   out.m = test_sorted.size();
   out.statistic =
-      ks::StatisticSortedScratch(reference, test_sorted, sweep, &out.location);
+      ks::StatisticAnchored(reference, test_sorted, &out.location);
   out.threshold = ks::internal::ThresholdUnchecked(alpha, out.n, out.m);
   out.reject = out.statistic > out.threshold;
   return out;
@@ -154,14 +154,27 @@ Result<SizeSearchResult> Moche::SearchSizeInto(
   MOCHE_RETURN_IF_ERROR(
       ValidatedSortedCopyInto(test, "test set", &ws.test_sorted_));
   const KsOutcome outcome =
-      SortedOutcome(sorted_reference, ws.test_sorted_, alpha, &ws.ks_sweep_);
+      SortedOutcome(sorted_reference, ws.test_sorted_, alpha);
   if (!outcome.reject) {
     return Status::AlreadyPasses(
         "R and T pass the KS test; there is nothing to explain");
   }
   *original = outcome;
-  CumulativeFrame::BuildFromSortedUncheckedInto(sorted_reference,
-                                                ws.test_sorted_, &ws.frame_);
+  // The anchored frame decides phases 1 and 2 exactly as the full one
+  // (core/cumulative.h). The paper-faithful O(q) recursion of the
+  // incremental_partial_check ablation walks the paper's full base vector,
+  // and so does any instance too large for the anchored frame's rounding
+  // argument.
+  if (options_.incremental_partial_check &&
+      CumulativeFrame::AnchoredIsExact(
+          sorted_reference.size(), ws.test_sorted_.size(),
+          ks::internal::CriticalValueUnchecked(alpha))) {
+    CumulativeFrame::BuildAnchoredInto(sorted_reference, ws.test_sorted_,
+                                       &ws.frame_);
+  } else {
+    CumulativeFrame::BuildFromSortedUncheckedInto(
+        sorted_reference, ws.test_sorted_, &ws.frame_);
+  }
   ws.engine_.Reset(ws.frame_, alpha);
   return SizeSearcher(ws.engine_).FindSize(options_.use_lower_bound);
 }
@@ -223,8 +236,7 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
   if (remaining.empty()) {
     return Status::Internal("explanation removed the whole test set");
   }
-  report->after =
-      SortedOutcome(sorted_reference, remaining, alpha, &ws.ks_sweep_);
+  report->after = SortedOutcome(sorted_reference, remaining, alpha);
   if (options_.validate_result && report->after.reject) {
     return Status::Internal(
         "constructed explanation does not reverse the KS test");
@@ -243,8 +255,7 @@ Status Moche::EvaluateBatchPrepared(const PreparedReference& prepared,
     SortedCopyInto(batch.data + w * batch.width, batch.width,
                    &ws.test_sorted_);
     (*outcomes)[w] = SortedOutcome(prepared.sorted_reference_,
-                                   ws.test_sorted_, prepared.alpha_,
-                                   &ws.ks_sweep_);
+                                   ws.test_sorted_, prepared.alpha_);
   }
   return Status::OK();
 }

@@ -29,7 +29,6 @@
 #include "core/bounds.h"
 #include "core/builder.h"
 #include "core/cumulative.h"
-#include "ks/ks_test.h"
 
 namespace moche {
 
@@ -53,8 +52,7 @@ class ExplainWorkspace {
             removed_values_.capacity() + remaining_.capacity()) *
                sizeof(double) +
            removed_.capacity() + frame_.FootprintBytes() +
-           engine_.FootprintBytes() + build_.FootprintBytes() +
-           ks_sweep_.FootprintBytes();
+           engine_.FootprintBytes() + build_.FootprintBytes();
   }
 
  private:
@@ -62,7 +60,6 @@ class ExplainWorkspace {
 
   std::vector<double> reference_sorted_;  // ExplainInto's sorted R
   std::vector<double> test_sorted_;
-  ks::KsSweepScratch ks_sweep_;  // SIMD |F_R - F_T| sweep merge buffers
   CumulativeFrame frame_;
   BoundsEngine engine_;
   BuildScratch build_;

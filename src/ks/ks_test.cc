@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ks/anchors.h"
 #include "util/logging.h"
 #include "util/simd.h"
 #include "util/string_util.h"
@@ -132,48 +133,30 @@ double StatisticSorted(const std::vector<double>& r_sorted,
   return best;
 }
 
-double StatisticSortedScratch(const std::vector<double>& r_sorted,
-                              const std::vector<double>& t_sorted,
-                              KsSweepScratch* scratch, double* location) {
+double StatisticAnchored(const std::vector<double>& r_sorted,
+                         const std::vector<double>& t_sorted,
+                         double* location) {
   if (r_sorted.empty() || t_sorted.empty()) {
     // Degenerate conventions live in one place.
     return StatisticSorted(r_sorted, t_sorted, location);
   }
-  const size_t nr = r_sorted.size();
-  const size_t nt = t_sorted.size();
-  scratch->values.clear();
-  scratch->cum_r.clear();
-  scratch->cum_t.clear();
-  scratch->values.reserve(nr + nt);
-  scratch->cum_r.reserve(nr + nt);
-  scratch->cum_t.reserve(nr + nt);
-  size_t i = 0;
-  size_t j = 0;
-  while (i < nr || j < nt) {
-    double x;
-    if (j >= nt || (i < nr && r_sorted[i] <= t_sorted[j])) {
-      x = r_sorted[i];
-    } else {
-      x = t_sorted[j];
-    }
-    while (i < nr && r_sorted[i] == x) ++i;
-    while (j < nt && t_sorted[j] == x) ++j;
-    scratch->values.push_back(x);
-    // Exact conversions (counts are far below 2^53), so the kernel's
-    // cum/n division sees the very same doubles StatisticSorted divides.
-    scratch->cum_r.push_back(static_cast<double>(i));
-    scratch->cum_t.push_back(static_cast<double>(j));
-  }
-  size_t best_index = SIZE_MAX;
-  const double best = simd::ActiveKernels().ecdf_sweep_cum(
-      scratch->cum_r.data(), scratch->cum_t.data(), scratch->values.size(),
-      static_cast<double>(nr), static_cast<double>(nt), &best_index);
-  if (location != nullptr) {
-    // The kernel leaves best_index alone when every |F_R - F_T| is zero —
-    // mirror StatisticSorted's front-value convention then.
-    *location =
-        best_index == SIZE_MAX ? r_sorted.front() : scratch->values[best_index];
-  }
+  const double n = static_cast<double>(r_sorted.size());
+  const double m = static_cast<double>(t_sorted.size());
+  double best = 0.0;
+  double best_x = r_sorted.front();
+  // The same division, subtraction and first-strict-max fold as
+  // StatisticSorted, at the anchors only; no other grid point can hold the
+  // first maximum (ks/anchors.h).
+  internal::ForEachAnchor(
+      r_sorted, t_sorted, [&](double x, size_t cr, size_t ct) {
+        const double d = std::fabs(static_cast<double>(cr) / n -
+                                   static_cast<double>(ct) / m);
+        if (d > best) {
+          best = d;
+          best_x = x;
+        }
+      });
+  if (location != nullptr) *location = best_x;
   return best;
 }
 
@@ -216,7 +199,7 @@ Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
   KsOutcome out;
   out.n = r_sorted.size();
   out.m = t_sorted.size();
-  out.statistic = StatisticSorted(r_sorted, t_sorted, &out.location);
+  out.statistic = StatisticAnchored(r_sorted, t_sorted, &out.location);
   out.threshold = internal::ThresholdUnchecked(alpha, out.n, out.m);
   out.reject = out.statistic > out.threshold;
   return out;

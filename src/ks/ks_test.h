@@ -83,7 +83,8 @@ double ThresholdUnchecked(double alpha, size_t n, size_t m);
 
 }  // namespace internal
 
-/// D(R,T) for samples that are already sorted ascending.
+/// D(R,T) for samples that are already sorted ascending, by one merge over
+/// the whole union grid: the reference form StatisticAnchored is held to.
 /// Returns 1.0 if exactly one sample is empty; 0.0 if both are. `location`
 /// (when non-null) is always written: the maximizing x, or 0.0 when both
 /// samples are empty and no x exists.
@@ -91,31 +92,16 @@ double StatisticSorted(const std::vector<double>& r_sorted,
                        const std::vector<double>& t_sorted,
                        double* location = nullptr);
 
-/// Reusable merge buffers for StatisticSortedScratch: the union grid of the
-/// two samples and the cumulative counts at each grid point, pre-converted
-/// to double so the |F_R - F_T| sweep runs as one contiguous SIMD pass
-/// (util/simd.h, ecdf_sweep_cum). Capacity persists across calls — a warm
-/// scratch recycled over same-sized instances allocates nothing.
-struct KsSweepScratch {
-  std::vector<double> values;  ///< unique values of R u T, ascending
-  std::vector<double> cum_r;   ///< #\{r in R : r <= values[k]\}
-  std::vector<double> cum_t;   ///< #\{t in T : t <= values[k]\}
-
-  /// Heap bytes retained (capacity-based, as elsewhere in the tree).
-  size_t FootprintBytes() const {
-    return (values.capacity() + cum_r.capacity() + cum_t.capacity()) *
-           sizeof(double);
-  }
-};
-
-/// As StatisticSorted, bit-identical result, but merges into `scratch` and
-/// runs the sweep through the active SIMD kernel table. The hot explain
-/// loops use this; one-shot callers can keep StatisticSorted (which
-/// allocates nothing at all).
-double StatisticSortedScratch(const std::vector<double>& r_sorted,
-                              const std::vector<double>& t_sorted,
-                              KsSweepScratch* scratch,
-                              double* location = nullptr);
+/// As StatisticSorted, bit-identical statistic and location, but walks
+/// only the test-anchored grid points of ks/anchors.h: each distinct test
+/// value and the last reference value before it. Galloping through R from
+/// one anchor to the next costs O(d_T log n) for d_T distinct test values
+/// (merge-level when n ~ m) and allocates nothing, so a small window
+/// tested against a large sorted reference does not pay for the whole
+/// reference. Same degenerate conventions as StatisticSorted.
+double StatisticAnchored(const std::vector<double>& r_sorted,
+                         const std::vector<double>& t_sorted,
+                         double* location = nullptr);
 
 /// D(R,T) for samples in arbitrary order (sorts copies). Returns NaN (and
 /// location 0.0) if either sample contains NaN — a NaN observation has no
@@ -129,7 +115,9 @@ double Statistic(std::vector<double> r, std::vector<double> t,
 Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
                       double alpha);
 
-/// As Run, but for pre-sorted inputs (no copies, no sorting).
+/// As Run, but for pre-sorted inputs (no copies, no sorting). The
+/// statistic comes from StatisticAnchored, so past the O(n + m) validation
+/// scan the test costs O(d_T log n).
 Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
                             const std::vector<double>& t_sorted, double alpha);
 

@@ -14,13 +14,15 @@
 // Comparing the bracket against the KS threshold p yields a three-way
 // verdict: the whole bracket above p is a *certified* reject
 // (kCertainFail), the whole bracket at or below p a *certified* accept
-// (kCertainPass), and only the band straddling p needs the exact O(n)
-// path (kUncertain). A small fixed margin (kTriageMargin) is subtracted
-// from both certify regions to absorb floating-point rounding — the
-// margin can only push a verdict into kUncertain (more fallbacks), never
-// mint a wrong certification, so a certified verdict that disagrees with
-// the exact ks::Run decision is a hard bug (the tests/sketch property
-// suite and sketch_fuzz both enforce exactly that).
+// (kCertainPass), and only the band straddling p needs the exact path
+// (kUncertain): O(d_T log n) for d_T distinct test values against the
+// prepared reference (ks::StatisticAnchored). A small fixed margin
+// (kTriageMargin) is subtracted from both certify regions to absorb
+// floating-point rounding — the margin can only push a verdict into
+// kUncertain (more fallbacks), never mint a wrong certification, so a
+// certified verdict that disagrees with the exact ks::Run decision is a
+// hard bug (the tests/sketch property suite and sketch_fuzz both enforce
+// exactly that).
 //
 // Ownership & thread-safety: a SketchedReference is immutable after Build
 // — one instance may be shared (shared_ptr-to-const via
@@ -57,7 +59,7 @@ enum class TriageVerdict {
   /// would pass (nothing to explain).
   kCertainPass,
   /// The bracket straddles the threshold; only an exact evaluation can
-  /// decide. The caller falls back to the O(n) path.
+  /// decide. The caller falls back to the exact path.
   kUncertain,
 };
 

@@ -23,16 +23,21 @@
 // the push on the summary alone; only the uncertain band (and windows
 // that actually fire an explanation) fall back to the interned exact
 // reference, which the fleet still shares once for fallback and for
-// ExplainPreparedInto. The sorted copy slides with the ring (two binary
-// searches and an O(w) memmove per push), so a full-window push costs
-// that plus an endpoint sweep against the summary (O(summary + w)
-// compares, one division per distinct window value) — no per-push sort,
-// and nothing that grows with the reference. Detection semantics are
-// recompute semantics — each full window is judged like ks::RunSorted on
-// its snapshot, and a sketched event's outcome is that result bit for bit;
-// the kExact detector's integer scores can disagree within ~1e-9 of the
-// decision boundary (see fuzz/streaming_ks_fuzz.cc), so cross-mode event
-// logs are equal on well-separated data but not bit-contractual.
+// ExplainPreparedInto. Neither pays for the reference's size: the exact
+// fallback walks the window's d_T distinct values through the sorted
+// reference in O(d_T log n) (ks::StatisticAnchored), and an explanation
+// runs both phases on a frame of q <= min(n + m, 2 d_T + 2) coordinates
+// (core/cumulative.h) and keeps O(m) bytes in its workspace. The sorted
+// copy slides with the ring (two binary searches and an O(w) memmove per
+// push), so a full-window push costs that plus an endpoint sweep against
+// the summary (O(summary + w) compares, one division per distinct window
+// value) — no per-push sort, and nothing that grows with the reference.
+// Detection semantics are recompute semantics — each full window is
+// judged like ks::RunSorted on its snapshot, and a sketched event's
+// outcome is that result bit for bit; the kExact detector's integer scores
+// can disagree within ~1e-9 of the decision boundary (see
+// fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
+// well-separated data but not bit-contractual.
 //
 // One drain loop serves both modes. Per push, only the window verdict
 // depends on the mode (the detector's outcome, or triage with its lazy

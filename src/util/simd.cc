@@ -55,19 +55,6 @@ size_t Theorem2FilterScanScalar(const double* ct_d, const double* cr_d,
   return end;
 }
 
-double EcdfSweepCumScalar(const double* cum_r, const double* cum_t, size_t q,
-                          double n, double m, size_t* best_index) {
-  double best = 0.0;
-  for (size_t i = 0; i < q; ++i) {
-    const double d = std::fabs(cum_r[i] / n - cum_t[i] / m);
-    if (d > best) {
-      best = d;
-      *best_index = i;
-    }
-  }
-  return best;
-}
-
 double EcdfSweepCountsScalar(const double* cum_r_d, const int64_t* count_t,
                              const int64_t* removed, size_t q, double n,
                              double m_rem, size_t* best_index) {
@@ -93,8 +80,10 @@ bool AllFiniteScalar(const double* values, size_t count) {
 }
 
 constexpr Kernels kScalarKernels = {
-    Theorem1FilterScanScalar, Theorem2FilterScanScalar, EcdfSweepCumScalar,
-    EcdfSweepCountsScalar,    AllFiniteScalar,
+    Theorem1FilterScanScalar,
+    Theorem2FilterScanScalar,
+    EcdfSweepCountsScalar,
+    AllFiniteScalar,
 };
 
 Isa DetectIsa() {

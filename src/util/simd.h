@@ -1,13 +1,14 @@
 // Runtime-dispatched SIMD kernels for the bounds/KS hot loops.
 //
-// The library's inner loops — the Theorem 1/2 fast-filter scans, the merged
-// ECDF sweeps, and batch validation — stream flat double/int64 arrays. This
-// shim exposes those loops as a table of function pointers (`Kernels`) with
-// three implementations: a portable scalar reference, an AVX2 path
-// (x86-64), and a NEON path (aarch64). The table is selected exactly once,
-// at first use, from the CPU's capabilities; `MOCHE_SIMD=scalar` (or
-// `avx2`/`neon`, when available) overrides the choice for A/B runs and the
-// forced-scalar CI leg. Unknown values fall back to scalar.
+// The library's inner loops — the Theorem 1/2 fast-filter scans, the
+// RemovalKs ECDF sweep, and batch validation — stream flat double/int64
+// arrays. This shim exposes those loops as a table of function pointers
+// (`Kernels`) with three implementations: a portable scalar reference, an
+// AVX2 path (x86-64), and a NEON path (aarch64). The table is selected
+// exactly once, at first use, from the CPU's capabilities;
+// `MOCHE_SIMD=scalar` (or `avx2`/`neon`, when available) overrides the
+// choice for A/B runs and the forced-scalar CI leg. Unknown values fall
+// back to scalar.
 //
 // Bit-identity contract: every vector kernel is REQUIRED to produce results
 // bit-identical to the scalar reference on all finite inputs — same
@@ -92,22 +93,16 @@ struct Kernels {
                                  double omega, double hh_d,
                                  double* running_max);
 
-  /// The ECDF sweep over q precomputed cumulative counts (as doubles):
-  ///   d_i = |cum_r[i] / n - cum_t[i] / m|
-  /// Returns max_i d_i with the scalar loop's first-strict-max tie-break:
-  /// *best_index is the smallest i attaining the max, or left untouched
-  /// when the max is 0.0 (no d_i ever exceeds the initial best of 0.0 —
-  /// callers keep their "front value" location sentinel for that case).
-  double (*ecdf_sweep_cum)(const double* cum_r, const double* cum_t,
-                           size_t q, double n, double m, size_t* best_index);
-
   /// The RemovalKs sweep: cum_r is prefix-summed up front (doubles), the
   /// test side is prefix-summed in the kernel from per-value counts:
   ///   cum_t_i = sum_{j<=i} (count_t[j] - removed[j])
   ///   d_i     = |cum_r_d[i] / n - double(cum_t_i) / m_rem|
-  /// Same return/tie-break contract as ecdf_sweep_cum. Counts must stay
-  /// below 2^52 (any real sample is; the int64 -> double conversion is
-  /// exact there).
+  /// Returns max_i d_i with the scalar loop's first-strict-max tie-break:
+  /// *best_index is the smallest i attaining the max, or left untouched
+  /// when the max is 0.0 (no d_i ever exceeds the initial best of 0.0 —
+  /// callers keep their "front value" location sentinel for that case).
+  /// Counts must stay below 2^52 (any real sample is; the int64 -> double
+  /// conversion is exact there).
   double (*ecdf_sweep_counts)(const double* cum_r_d, const int64_t* count_t,
                               const int64_t* removed, size_t q, double n,
                               double m_rem, size_t* best_index);

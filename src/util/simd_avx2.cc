@@ -135,8 +135,8 @@ size_t Theorem2FilterScanAvx2(const double* ct_d, const double* cr_d,
                             running_max);
 }
 
-// Shared tail of the two ECDF sweeps: fold one block's |F_R - F_T| vector
-// into the (best, best_index) state with the scalar loop's first-strict-max
+// Fold one block of the ECDF sweep's |F_R - F_T| vector into the
+// (best, best_index) state with the scalar loop's first-strict-max
 // semantics — a new global max picks the block's first lane attaining it.
 inline void FoldSweepBlock(__m256d d, size_t base, double* best,
                            size_t* best_index) {
@@ -154,30 +154,6 @@ inline void FoldSweepBlock(__m256d d, size_t base, double* best,
 inline __m256d AbsMask() {
   return _mm256_castsi256_pd(
       _mm256_set1_epi64x(static_cast<int64_t>(0x7FFFFFFFFFFFFFFFull)));
-}
-
-double EcdfSweepCumAvx2(const double* cum_r, const double* cum_t, size_t q,
-                        double n, double m, size_t* best_index) {
-  const __m256d vn = _mm256_set1_pd(n);
-  const __m256d vm = _mm256_set1_pd(m);
-  double best = 0.0;
-  size_t bi = SIZE_MAX;
-  size_t i = 0;
-  for (; i + 4 <= q; i += 4) {
-    const __m256d dr = _mm256_div_pd(_mm256_loadu_pd(cum_r + i), vn);
-    const __m256d dt = _mm256_div_pd(_mm256_loadu_pd(cum_t + i), vm);
-    const __m256d d = _mm256_and_pd(_mm256_sub_pd(dr, dt), AbsMask());
-    FoldSweepBlock(d, i, &best, &bi);
-  }
-  for (; i < q; ++i) {
-    const double d = std::fabs(cum_r[i] / n - cum_t[i] / m);
-    if (d > best) {
-      best = d;
-      bi = i;
-    }
-  }
-  if (bi != SIZE_MAX) *best_index = bi;
-  return best;
 }
 
 // Exact int64 -> double conversion for 0 <= x < 2^52: OR in the exponent of
@@ -249,8 +225,10 @@ bool AllFiniteAvx2(const double* values, size_t count) {
 }
 
 const Kernels kAvx2Kernels = {
-    Theorem1FilterScanAvx2, Theorem2FilterScanAvx2, EcdfSweepCumAvx2,
-    EcdfSweepCountsAvx2,    AllFiniteAvx2,
+    Theorem1FilterScanAvx2,
+    Theorem2FilterScanAvx2,
+    EcdfSweepCountsAvx2,
+    AllFiniteAvx2,
 };
 
 }  // namespace

@@ -121,30 +121,6 @@ inline void FoldSweepPair(float64x2_t d, size_t base, double* best,
   }
 }
 
-double EcdfSweepCumNeon(const double* cum_r, const double* cum_t, size_t q,
-                        double n, double m, size_t* best_index) {
-  const float64x2_t vn = vdupq_n_f64(n);
-  const float64x2_t vm = vdupq_n_f64(m);
-  double best = 0.0;
-  size_t bi = SIZE_MAX;
-  size_t i = 0;
-  for (; i + 2 <= q; i += 2) {
-    const float64x2_t dr = vdivq_f64(vld1q_f64(cum_r + i), vn);
-    const float64x2_t dt = vdivq_f64(vld1q_f64(cum_t + i), vm);
-    const float64x2_t d = vabsq_f64(vsubq_f64(dr, dt));
-    FoldSweepPair(d, i, &best, &bi);
-  }
-  for (; i < q; ++i) {
-    const double d = std::fabs(cum_r[i] / n - cum_t[i] / m);
-    if (d > best) {
-      best = d;
-      bi = i;
-    }
-  }
-  if (bi != SIZE_MAX) *best_index = bi;
-  return best;
-}
-
 double EcdfSweepCountsNeon(const double* cum_r_d, const int64_t* count_t,
                            const int64_t* removed, size_t q, double n,
                            double m_rem, size_t* best_index) {
@@ -198,8 +174,10 @@ bool AllFiniteNeon(const double* values, size_t count) {
 }
 
 const Kernels kNeonKernels = {
-    Theorem1FilterScanNeon, Theorem2FilterScanNeon, EcdfSweepCumNeon,
-    EcdfSweepCountsNeon,    AllFiniteNeon,
+    Theorem1FilterScanNeon,
+    Theorem2FilterScanNeon,
+    EcdfSweepCountsNeon,
+    AllFiniteNeon,
 };
 
 }  // namespace

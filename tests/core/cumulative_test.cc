@@ -1,6 +1,13 @@
 #include "core/cumulative.h"
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace moche {
 namespace {
@@ -98,6 +105,88 @@ TEST(CumulativeFrameTest, LastEntriesEqualSetSizes) {
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame->CR(frame->q()), 4);
   EXPECT_EQ(frame->CT(frame->q()), 3);
+}
+
+// R-only runs keep their last value (and, before the first test value, the
+// first too); every test value and the last reference value are kept.
+TEST(CumulativeFrameTest, AnchoredKeepsTestValuesAndRunEnds) {
+  const std::vector<double> r{1, 2, 3, 4, 6, 7, 8, 9, 11, 12};
+  const std::vector<double> t{5, 5, 10};
+  CumulativeFrame frame;
+  CumulativeFrame::BuildAnchoredInto(r, t, &frame);
+  EXPECT_EQ(frame.n(), 10u);
+  EXPECT_EQ(frame.m(), 3u);
+  const std::vector<double> values{1, 4, 5, 9, 10, 12};
+  const std::vector<int64_t> cum_r{0, 1, 4, 4, 8, 8, 10};
+  const std::vector<int64_t> cum_t{0, 0, 0, 2, 2, 3, 3};
+  ASSERT_EQ(frame.q(), values.size());
+  for (size_t i = 1; i <= frame.q(); ++i) {
+    EXPECT_EQ(frame.Value(i), values[i - 1]) << i;
+  }
+  for (size_t i = 0; i <= frame.q(); ++i) {
+    EXPECT_EQ(frame.CR(i), cum_r[i]) << i;
+    EXPECT_EQ(frame.CT(i), cum_t[i]) << i;
+  }
+  // A recycled frame forgets the previous instance.
+  CumulativeFrame::BuildAnchoredInto({5, 5}, {5}, &frame);
+  ASSERT_EQ(frame.q(), 1u);
+  EXPECT_EQ(frame.CR(1), 2);
+  EXPECT_EQ(frame.CT(1), 1);
+  // A run of mixed-sign zeros keeps its first copy, as the full merge does.
+  CumulativeFrame::BuildAnchoredInto({-1, -0.0, 0.0}, {1}, &frame);
+  ASSERT_EQ(frame.q(), 3u);
+  EXPECT_EQ(frame.CR(2), 3);
+  EXPECT_TRUE(std::signbit(frame.Value(2)));
+}
+
+// Every anchored coordinate is the full frame's coordinate of the same
+// value, bits included, and there are at most 2 d_T + 2 of them.
+TEST(CumulativeFrameTest, AnchoredCoordinatesAreFullFrameCoordinates) {
+  Rng rng(77);
+  CumulativeFrame anchored;
+  for (int rep = 0; rep < 300; ++rep) {
+    const int shape = rep % 3;
+    const size_t n = static_cast<size_t>(rng.Integer(1, 400));
+    const size_t m = static_cast<size_t>(rng.Integer(1, 30));
+    const auto draw = [&rng, shape](double shift) {
+      if (shape == 0) return static_cast<double>(rng.Integer(0, 6));
+      if (shape == 1) {
+        const double v = static_cast<double>(rng.Integer(-1, 1));
+        return v == 0.0 && rng.Integer(0, 1) == 0 ? -0.0 : v;
+      }
+      return rng.Normal(shift, 1.0);
+    };
+    std::vector<double> r(n);
+    std::vector<double> t(m);
+    for (double& v : r) v = draw(0.0);
+    for (double& v : t) v = draw(0.7);
+    std::sort(r.begin(), r.end());
+    std::sort(t.begin(), t.end());
+    // The same sorted arrays feed both builders: std::sort may order a
+    // -0.0/+0.0 tie either way, and the frames report the first copy.
+    auto full = std::make_unique<CumulativeFrame>();
+    CumulativeFrame::BuildFromSortedUncheckedInto(r, t, full.get());
+    CumulativeFrame::BuildAnchoredInto(r, t, &anchored);
+    ASSERT_EQ(anchored.n(), n);
+    ASSERT_EQ(anchored.m(), m);
+    const size_t distinct_t = static_cast<size_t>(
+        std::unique(t.begin(), t.end()) - t.begin());
+    EXPECT_LE(anchored.q(), std::min(full->q(), 2 * distinct_t + 2));
+    size_t kept_t = 0;
+    size_t j = 1;
+    for (size_t i = 1; i <= anchored.q(); ++i) {
+      while (j <= full->q() && full->Value(j) < anchored.Value(i)) ++j;
+      ASSERT_LE(j, full->q()) << "rep=" << rep;
+      ASSERT_EQ(std::signbit(anchored.Value(i)), std::signbit(full->Value(j)))
+          << "rep=" << rep << " i=" << i;
+      ASSERT_EQ(anchored.Value(i), full->Value(j)) << "rep=" << rep;
+      ASSERT_EQ(anchored.CR(i), full->CR(j)) << "rep=" << rep;
+      ASSERT_EQ(anchored.CT(i), full->CT(j)) << "rep=" << rep;
+      kept_t += anchored.CountT(i) > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(kept_t, distinct_t) << "rep=" << rep;
+    EXPECT_EQ(anchored.Value(anchored.q()), full->Value(full->q()));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -238,43 +240,60 @@ TEST(KolmogorovQTest, KnownValuesAndMonotonicity) {
   EXPECT_GT(ks::KolmogorovQ(0.5), ks::KolmogorovQ(1.0));
 }
 
-// The scratch-based SIMD sweep is the same function as StatisticSorted —
-// same D bits, same location — on random, tie-heavy, and degenerate
-// inputs. This is the unit-level leg of the bit-identity gate (the corpus
-// dump is the end-to-end leg).
-TEST(StatisticTest, ScratchSweepIsBitIdenticalToStatisticSorted) {
+// The test-anchored walk is the same function as StatisticSorted — same D
+// bits, same location bits — on random, tie-heavy, signed-zero, far-apart
+// and degenerate inputs, including references many times larger than the
+// test set (the monitor's shape). This is the unit-level leg of the
+// bit-identity gate (the corpus dump is the end-to-end leg).
+TEST(StatisticTest, AnchoredIsBitIdenticalToStatisticSorted) {
   Rng rng(314159);
-  ks::KsSweepScratch scratch;
-  for (int rep = 0; rep < 200; ++rep) {
-    const size_t n = static_cast<size_t>(rng.Integer(1, 60));
+  const auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (int rep = 0; rep < 400; ++rep) {
+    const int shape = rep % 4;
+    const size_t n =
+        static_cast<size_t>(rng.Integer(1, shape == 3 ? 600 : 60));
     const size_t m = static_cast<size_t>(rng.Integer(1, 60));
+    // 0: ties on a small alphabet; 1: ties among -1, -0.0, +0.0, 1;
+    // 2: continuous; 3: a narrow test set inside a wide reference.
+    const auto draw = [&rng, shape](bool test) {
+      if (shape == 0) return static_cast<double>(rng.Integer(0, 5));
+      if (shape == 1) {
+        const double v = static_cast<double>(rng.Integer(-1, 1));
+        return v == 0.0 && rng.Integer(0, 1) == 0 ? -0.0 : v;
+      }
+      if (!test) return rng.Normal();
+      return shape == 2 ? rng.Normal(0.3, 1.1) : rng.Normal(2.5, 0.2);
+    };
     std::vector<double> r(n);
     std::vector<double> t(m);
-    const bool tie_heavy = rep % 2 == 0;
-    for (double& v : r) {
-      v = tie_heavy ? static_cast<double>(rng.Integer(0, 5)) : rng.Normal();
-    }
-    for (double& v : t) {
-      v = tie_heavy ? static_cast<double>(rng.Integer(0, 5))
-                    : rng.Normal(0.3, 1.1);
-    }
+    for (double& v : r) v = draw(false);
+    for (double& v : t) v = draw(true);
     std::sort(r.begin(), r.end());
     std::sort(t.begin(), t.end());
-    double loc_plain = -1.0;
-    double loc_scratch = -2.0;
-    const double d_plain = ks::StatisticSorted(r, t, &loc_plain);
-    const double d_scratch =
-        ks::StatisticSortedScratch(r, t, &scratch, &loc_scratch);
-    ASSERT_EQ(d_plain, d_scratch) << "rep=" << rep;
-    ASSERT_EQ(loc_plain, loc_scratch) << "rep=" << rep;
+    double loc_merge = -1.0;
+    double loc_anchored = -2.0;
+    const double d_merge = ks::StatisticSorted(r, t, &loc_merge);
+    const double d_anchored = ks::StatisticAnchored(r, t, &loc_anchored);
+    ASSERT_EQ(bits(d_merge), bits(d_anchored)) << "rep=" << rep;
+    ASSERT_EQ(bits(loc_merge), bits(loc_anchored)) << "rep=" << rep;
   }
   // Identical samples: D == 0, location = front value (sentinel path).
   const std::vector<double> same{-0.0, 1.0, 2.0};
   double loc = 99.0;
-  EXPECT_EQ(ks::StatisticSortedScratch(same, same, &scratch, &loc), 0.0);
-  double loc_plain = 98.0;
-  EXPECT_EQ(ks::StatisticSorted(same, same, &loc_plain), 0.0);
-  EXPECT_EQ(loc, loc_plain);
+  EXPECT_EQ(ks::StatisticAnchored(same, same, &loc), 0.0);
+  EXPECT_TRUE(std::signbit(loc));
+  // A reference run that ends in zeros of both signs peaks at the run's
+  // first zero, as in the merge, not at its last.
+  EXPECT_EQ(ks::StatisticAnchored({-1.0, -0.0, 0.0, 0.0}, {1.0}, &loc), 1.0);
+  EXPECT_TRUE(std::signbit(loc));
+  // One empty sample: the StatisticSorted conventions.
+  EXPECT_EQ(ks::StatisticAnchored({}, same, &loc), 1.0);
+  EXPECT_EQ(ks::StatisticAnchored({}, {}, &loc), 0.0);
+  EXPECT_EQ(loc, 0.0);
 }
 
 // Goldens for the small-lambda theta-dual expansion (values from the

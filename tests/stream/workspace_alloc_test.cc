@@ -5,11 +5,14 @@
 //    call performs none when the caller recycles its workspace and
 //    output vector;
 //  * a warmed-up sequential DriftMonitor::PushBatch that fires no drift
-//    event performs no heap allocation at all.
+//    event performs no heap allocation at all;
+//  * what an explanation against a prepared reference leaves in its
+//    workspace grows with the window, not with the reference.
 //
 // testing_alloc.h defines the counting global operator new, so this file
 // must be this binary's only TU including it.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -287,6 +290,81 @@ TEST(WorkspaceAllocTest, WorkspacePoolStatsReportCreationAndFootprint) {
   const stream::DriftMonitor::Stats stats = monitor->stats();
   EXPECT_EQ(stats.workspaces_created, 1u);  // one sequential worker
   EXPECT_GT(stats.workspace_bytes, 0u);
+}
+
+// Explaining a window of m points against a prepared reference of n keeps
+// O(m) bytes in the workspace (the anchored frame, its engine and checker,
+// the sorted window and T \ I), whatever n is. 512 bytes per window value
+// is about twice what the buffers take; any O(n) buffer against the 2^16
+// reference below would need 8 bytes per reference value, 2.5x the bound.
+constexpr size_t kFootprintWindow = 200;
+constexpr size_t kFootprintReference = size_t{1} << 16;
+
+size_t WindowLinearBound(size_t m) { return 512 * m + 4096; }
+
+TEST(WorkspaceAllocTest, ExplainFootprintIsLinearInTheWindowNotTheReference) {
+  Rng rng(65536);
+  const Moche engine;
+  auto prepared = engine.Prepare(
+      NormalSample(&rng, kFootprintReference, 0.0, 1.0), 0.05);
+  ASSERT_TRUE(prepared.ok());
+  ExplainWorkspace workspace;
+  MocheReport report;
+  for (int w = 0; w < 8; ++w) {
+    const std::vector<double> window =
+        NormalSample(&rng, kFootprintWindow, 0.4 + 0.1 * w, 1.1);
+    ASSERT_TRUE(engine
+                    .ExplainPreparedInto(*prepared, window,
+                                         RandomPreference(window.size(), &rng),
+                                         &workspace, &report)
+                    .ok());
+    EXPECT_GT(report.k, 0u);
+  }
+  // The exact KS fallback walks the same anchors and keeps no buffer.
+  const std::vector<double> flat =
+      NormalSample(&rng, 16 * kFootprintWindow, 0.2, 1.0);
+  std::vector<KsOutcome> outcomes;
+  ASSERT_TRUE(engine
+                  .EvaluateBatchPrepared(
+                      *prepared, WindowBatch{flat.data(), 16, kFootprintWindow},
+                      &workspace, &outcomes)
+                  .ok());
+  EXPECT_LT(workspace.FootprintBytes(), WindowLinearBound(kFootprintWindow));
+}
+
+// The same bound through a sketched monitor: its one worker's scratch (the
+// workspace plus the window and preference buffers) after explanations and
+// exact fallbacks against a shared 2^16-point reference.
+TEST(WorkspaceAllocTest, SketchedMonitorWorkspaceBytesIsLinearInTheWindow) {
+  Rng rng(1 << 16);
+  stream::MonitorOptions options;
+  options.num_threads = 1;
+  options.reference_mode = stream::ReferenceMode::kSketched;
+  options.sketch_k = 64;  // a coarse summary, so some windows fall back
+  auto monitor = stream::DriftMonitor::Create(options);
+  ASSERT_TRUE(monitor.ok());
+  const std::vector<double> reference =
+      NormalSample(&rng, kFootprintReference, 0.0, 1.0);
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_TRUE(monitor
+                    ->AddStream("s" + std::to_string(s), reference,
+                                kFootprintWindow)
+                    .ok());
+  }
+  // In distribution, then a slow drift, then a jump: triage settles most
+  // pushes, the band around the threshold falls back, the jump explains.
+  std::vector<std::vector<double>> batch(2);
+  for (double shift : {0.0, 0.1, 0.2, 0.3, 2.0}) {
+    for (auto& values : batch) {
+      values = NormalSample(&rng, kFootprintWindow, shift, 1.0);
+    }
+    ASSERT_TRUE(monitor->PushBatch(batch).ok());
+  }
+  const stream::DriftMonitor::Stats stats = monitor->stats();
+  ASSERT_FALSE(monitor->events().empty());
+  EXPECT_GT(stats.triage_fallbacks, 0u);
+  EXPECT_EQ(stats.workspaces_created, 1u);
+  EXPECT_LT(stats.workspace_bytes, WindowLinearBound(kFootprintWindow));
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(SimdDispatch, UnavailableIsaFallsBackToScalarTable) {
     if (IsaAvailable(isa)) continue;
     const Kernels& table = KernelsFor(isa);
     EXPECT_EQ(table.theorem1_filter_scan, scalar.theorem1_filter_scan);
-    EXPECT_EQ(table.ecdf_sweep_cum, scalar.ecdf_sweep_cum);
+    EXPECT_EQ(table.ecdf_sweep_counts, scalar.ecdf_sweep_counts);
   }
   // At most one vector ISA exists per build, never both.
   EXPECT_FALSE(IsaAvailable(Isa::kAvx2) && IsaAvailable(Isa::kNeon));
@@ -154,7 +154,6 @@ TEST(SimdDispatch, EveryTablePointerIsNonNull) {
     const Kernels& k = KernelsFor(isa);
     EXPECT_NE(k.theorem1_filter_scan, nullptr);
     EXPECT_NE(k.theorem2_filter_scan, nullptr);
-    EXPECT_NE(k.ecdf_sweep_cum, nullptr);
     EXPECT_NE(k.ecdf_sweep_counts, nullptr);
     EXPECT_NE(k.all_finite, nullptr);
   }
@@ -202,50 +201,19 @@ TEST(SimdParity, TheoremScansOnAdversarialValues) {
   }
 }
 
-TEST(SimdParity, EcdfSweepCumOnFuzzedInstances) {
-  Rng rng(777);
-  const Kernels& scalar = KernelsFor(Isa::kScalar);
-  for (Isa isa : VectorIsas()) {
-    const Kernels& table = KernelsFor(isa);
-    for (size_t q : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 9u, 64u, 129u}) {
-      for (int rep = 0; rep < 16; ++rep) {
-        std::vector<double> cum_r(q);
-        std::vector<double> cum_t(q);
-        double r = 0.0;
-        double t = 0.0;
-        for (size_t i = 0; i < q; ++i) {
-          // Tie-heavy by construction: increments are often zero.
-          r += static_cast<double>(rng.Integer(0, 2));
-          t += static_cast<double>(rng.Integer(0, 2));
-          cum_r[i] = r;
-          cum_t[i] = t;
-        }
-        const double n = r > 0.0 ? r : 1.0;
-        const double m = t > 0.0 ? t : 1.0;
-        size_t bi_s = SIZE_MAX;
-        size_t bi_v = SIZE_MAX;
-        const double best_s =
-            scalar.ecdf_sweep_cum(cum_r.data(), cum_t.data(), q, n, m, &bi_s);
-        const double best_v =
-            table.ecdf_sweep_cum(cum_r.data(), cum_t.data(), q, n, m, &bi_v);
-        ASSERT_EQ(Bits(best_s), Bits(best_v)) << IsaName(isa) << " q=" << q;
-        ASSERT_EQ(bi_s, bi_v) << IsaName(isa) << " q=" << q;
-      }
-    }
-  }
-}
-
 TEST(SimdParity, EcdfSweepLeavesBestIndexUntouchedOnZeroMax) {
-  // cum_r == cum_t with n == m makes every d exactly 0.0: the contract
-  // says best_index must not be written (callers keep their front-value
-  // sentinel). ±0.0 differences must also yield d == 0.0, not a spurious
-  // update.
-  const std::vector<double> cum_r = {0.0, -0.0, 1.0, 2.0, 2.0, 3.0};
-  const std::vector<double> cum_t = {-0.0, 0.0, 1.0, 2.0, 2.0, 3.0};
+  // cum_r equal to the running count of T with n == m makes every d
+  // exactly 0.0: the contract says best_index must not be written (callers
+  // keep their front-value sentinel). A -0.0 reference count must also
+  // yield d == 0.0, not a spurious update.
+  const std::vector<double> cum_r_d = {-0.0, 0.0, 1.0, 2.0, 2.0, 3.0};
+  const std::vector<int64_t> count_t = {0, 0, 1, 2, 0, 1};
+  const std::vector<int64_t> removed = {0, 0, 0, 1, 0, 0};
   for (Isa isa : VectorIsas()) {
     size_t bi = 123456;
-    const double best = KernelsFor(isa).ecdf_sweep_cum(
-        cum_r.data(), cum_t.data(), cum_r.size(), 3.0, 3.0, &bi);
+    const double best = KernelsFor(isa).ecdf_sweep_counts(
+        cum_r_d.data(), count_t.data(), removed.data(), cum_r_d.size(), 3.0,
+        3.0, &bi);
     EXPECT_EQ(best, 0.0) << IsaName(isa);
     EXPECT_FALSE(std::signbit(best)) << IsaName(isa);
     EXPECT_EQ(bi, 123456u) << IsaName(isa);
@@ -339,8 +307,6 @@ TEST(SimdAllocation, KernelsAllocateNothing) {
     sink_index += table.theorem2_filter_scan(b.ct_d.data(), b.cr_d.data(), 1,
                                              b.ct_d.size(), 0.5, 1.0, 3.0,
                                              &run);
-    sink += table.ecdf_sweep_cum(b.ct_d.data(), b.cr_d.data(), b.ct_d.size(),
-                                 b.n, b.m, &sink_index);
     sink += table.ecdf_sweep_counts(b.ct_d.data(), count_t.data(),
                                     removed.data(), count_t.size(), b.n,
                                     64.0, &sink_index);
