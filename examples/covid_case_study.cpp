@@ -4,7 +4,7 @@
 // "seniors are hit harder" — yield two different most-comprehensible
 // explanations of the SAME failed test, both of the same minimal size.
 //
-// Run: ./build/examples/covid_case_study
+// Run: ./build/examples/example_covid_case_study
 
 #include <cstdio>
 

@@ -5,7 +5,7 @@
 // Spectral Residual outlier scores — "explain the drift, preferring the
 // points an anomaly detector already distrusts".
 //
-// Run: ./build/examples/drift_monitor
+// Run: ./build/examples/example_drift_monitor
 
 #include <cstdio>
 

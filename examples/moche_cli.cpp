@@ -15,7 +15,8 @@
 // Try it:
 //   printf '1\n2\n3\n4\n5\n' > /tmp/ref.csv
 //   printf '2\n9\n9\n9\n9\n' > /tmp/test.csv
-//   ./build/examples/moche_cli --reference /tmp/ref.csv --test /tmp/test.csv --alpha 0.3
+//   cli=./build/examples/example_moche_cli
+//   "$cli" --reference /tmp/ref.csv --test /tmp/test.csv --alpha 0.3
 
 #include <cstdio>
 #include <cstring>

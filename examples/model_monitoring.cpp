@@ -9,7 +9,7 @@
 // new client integration (shifted feature distribution). The preference
 // list ranks recent requests first ("newest suspects first").
 //
-// Run: ./build/examples/model_monitoring
+// Run: ./build/examples/example_model_monitoring
 
 #include <cmath>
 #include <cstdio>

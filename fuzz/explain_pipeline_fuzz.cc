@@ -10,7 +10,8 @@
 // status code, explanation indices, sizes, outcomes (bit-exact statistics)
 // or search counters. FindExplanationSize* must agree with the report's
 // phase-1 numbers, report.after must match T \ I rebuilt by index mask and
-// std::sort, and EvaluateBatchPrepared must match ks::Run per window.
+// std::sort, and ks::internal::RunSortedUnchecked on each sorted window of
+// a flat batch against the prepared reference must match ks::Run.
 //
 // Two more legs hold the anchored explain path (a frame of test values and
 // reference-run ends, core/cumulative.h) to a full-frame oracle built from
@@ -266,8 +267,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
   }
 
-  // EvaluateBatchPrepared: an SoA batch of equal-width windows must match
-  // per-window ks::Run bit-exactly, through the same recycled workspace.
+  // ks::internal::RunSortedUnchecked, the sketched monitor's exact
+  // fallback: each window of a flat batch of equal-width windows, sorted on
+  // its own against the prepared reference, must match ks::Run bit-exactly.
   const size_t count = in.SizeInRange(0, 4);
   const size_t width = in.SizeInRange(1, 10);
   std::vector<double> soa;
@@ -276,22 +278,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } else {
     in.FiniteArray(count * width, &soa);
   }
-  moche::WindowBatch batch{soa.data(), count, width};
-  std::vector<moche::KsOutcome> outcomes(3);  // wrong-sized on purpose
-  const moche::Status batch_status =
-      engine.EvaluateBatchPrepared(*prepared, batch, &workspace, &outcomes);
-  MOCHE_FUZZ_CHECK(batch_status.ok(), "EvaluateBatchPrepared failed: %s",
-                   batch_status.message().c_str());
-  MOCHE_FUZZ_CHECK(outcomes.size() == count,
-                   "batch wrote %zu outcomes for %zu windows",
-                   outcomes.size(), count);
   for (size_t w = 0; w < count; ++w) {
     std::vector<double> window(soa.begin() + w * width,
                                soa.begin() + (w + 1) * width);
     auto direct = moche::ks::Run(reference, window, alpha);
     MOCHE_FUZZ_CHECK(direct.ok(), "direct recompute failed: %s",
                      direct.status().message().c_str());
-    CheckOutcomesIdentical(outcomes[w], *direct, "EvaluateBatchPrepared", w);
+    std::sort(window.begin(), window.end());
+    const moche::KsOutcome unchecked = moche::ks::internal::RunSortedUnchecked(
+        prepared->sorted_reference(), window, alpha);
+    CheckOutcomesIdentical(unchecked, *direct, "RunSortedUnchecked", w);
   }
 
   // A reference at least 8x the window, the window drawn from a narrow

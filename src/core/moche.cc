@@ -36,22 +36,7 @@ Status ValidatedSortedCopyInto(const std::vector<double>& sample,
   return Status::OK();
 }
 
-// The KS test of two validated, sorted, non-empty samples; bit-identical
-// to ks::RunSorted, walking only the test-anchored grid points.
-KsOutcome SortedOutcome(const std::vector<double>& reference,
-                        const std::vector<double>& test_sorted,
-                        double alpha) {
-  KsOutcome out;
-  out.n = reference.size();
-  out.m = test_sorted.size();
-  out.statistic =
-      ks::StatisticAnchored(reference, test_sorted, &out.location);
-  out.threshold = ks::internal::ThresholdUnchecked(alpha, out.n, out.m);
-  out.reject = out.statistic > out.threshold;
-  return out;
-}
-
-// The checks both batch entry points share. An empty batch is valid;
+// EvaluateBatchSketched's batch checks. An empty batch is valid;
 // otherwise the shape must be sound and every value finite, checked in one
 // flat SIMD pass over count * width doubles so the vector lanes stay full
 // instead of paying per-window ramp-up and tail handling count times.
@@ -153,8 +138,8 @@ Result<SizeSearchResult> Moche::SearchSizeInto(
   // cost carries no redundant O(n) re-scans of the reference.
   MOCHE_RETURN_IF_ERROR(
       ValidatedSortedCopyInto(test, "test set", &ws.test_sorted_));
-  const KsOutcome outcome =
-      SortedOutcome(sorted_reference, ws.test_sorted_, alpha);
+  const KsOutcome outcome = ks::internal::RunSortedUnchecked(
+      sorted_reference, ws.test_sorted_, alpha);
   if (!outcome.reject) {
     return Status::AlreadyPasses(
         "R and T pass the KS test; there is nothing to explain");
@@ -236,26 +221,11 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
   if (remaining.empty()) {
     return Status::Internal("explanation removed the whole test set");
   }
-  report->after = SortedOutcome(sorted_reference, remaining, alpha);
+  report->after =
+      ks::internal::RunSortedUnchecked(sorted_reference, remaining, alpha);
   if (options_.validate_result && report->after.reject) {
     return Status::Internal(
         "constructed explanation does not reverse the KS test");
-  }
-  return Status::OK();
-}
-
-Status Moche::EvaluateBatchPrepared(const PreparedReference& prepared,
-                                    const WindowBatch& batch,
-                                    ExplainWorkspace* workspace,
-                                    std::vector<KsOutcome>* outcomes) const {
-  MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
-  outcomes->resize(batch.count);
-  ExplainWorkspace& ws = *workspace;
-  for (size_t w = 0; w < batch.count; ++w) {
-    SortedCopyInto(batch.data + w * batch.width, batch.width,
-                   &ws.test_sorted_);
-    (*outcomes)[w] = SortedOutcome(prepared.sorted_reference_,
-                                   ws.test_sorted_, prepared.alpha_);
   }
   return Status::OK();
 }

@@ -187,23 +187,6 @@ class Moche {
       const PreparedReference& prepared, const std::vector<double>& test,
       ExplainWorkspace* workspace) const;
 
-  /// Runs the KS test (no explanation) for every window of an SoA batch
-  /// against one prepared reference, writing outcome w for window w into
-  /// (*outcomes)[w]. Each outcome is bit-identical to
-  /// ks::RunSorted(sorted_reference, sort(window), alpha) on the same data.
-  /// The whole batch is finiteness-checked in one SIMD pass before any
-  /// window is evaluated; InvalidArgument (and *outcomes untouched) if any
-  /// window holds a non-finite value, if count > 0 with width == 0, if
-  /// count * width overflows size_t, or if data is null with
-  /// count * width > 0. Zero-allocation once `workspace`
-  /// and `outcomes` are warm (outcomes keeps its capacity). This is the
-  /// triage half of the stream pipeline: DriftMonitor re-checks a batch of
-  /// recent windows in one call, then explains only the rejecting ones.
-  Status EvaluateBatchPrepared(const PreparedReference& prepared,
-                               const WindowBatch& batch,
-                               ExplainWorkspace* workspace,
-                               std::vector<KsOutcome>* outcomes) const;
-
   /// Certified three-way KS triage of one test window against a sketched
   /// reference (sketch/sketched_reference.h): computes the exact weighted
   /// sweep statistic D_sketch against the sketch summary, brackets the
@@ -226,10 +209,13 @@ class Moche {
                             ExplainWorkspace* workspace,
                             sketch::SketchTriage* triage) const;
 
-  /// Batched triage: as EvaluateBatchPrepared but against the sketch,
-  /// writing (*triages)[w] for window w. Same batch checks and one flat
-  /// SIMD finiteness pass; zero allocation once `workspace` and `triages`
-  /// are warm.
+  /// Batched triage: as TriageSketchedInto for every window of an SoA
+  /// batch, writing (*triages)[w] for window w. The whole batch is
+  /// finiteness-checked in one SIMD pass before any window is evaluated;
+  /// InvalidArgument (and *triages untouched) if any window holds a
+  /// non-finite value, if count > 0 with width == 0, if count * width
+  /// overflows size_t, or if data is null with count * width > 0. Zero
+  /// allocation once `workspace` and `triages` are warm.
   Status EvaluateBatchSketched(const sketch::SketchedReference& sketched,
                                const WindowBatch& batch,
                                ExplainWorkspace* workspace,

@@ -190,19 +190,29 @@ Status ValidateSample(const std::vector<double>& sample, const char* name) {
   return Status::OK();
 }
 
+namespace internal {
+
+KsOutcome RunSortedUnchecked(const std::vector<double>& r_sorted,
+                             const std::vector<double>& t_sorted,
+                             double alpha) {
+  KsOutcome out;
+  out.n = r_sorted.size();
+  out.m = t_sorted.size();
+  out.statistic = StatisticAnchored(r_sorted, t_sorted, &out.location);
+  out.threshold = ThresholdUnchecked(alpha, out.n, out.m);
+  out.reject = out.statistic > out.threshold;
+  return out;
+}
+
+}  // namespace internal
+
 Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
                             const std::vector<double>& t_sorted,
                             double alpha) {
   MOCHE_RETURN_IF_ERROR(ValidateSample(r_sorted, "reference set"));
   MOCHE_RETURN_IF_ERROR(ValidateSample(t_sorted, "test set"));
   MOCHE_RETURN_IF_ERROR(ValidateAlpha(alpha));
-  KsOutcome out;
-  out.n = r_sorted.size();
-  out.m = t_sorted.size();
-  out.statistic = StatisticAnchored(r_sorted, t_sorted, &out.location);
-  out.threshold = internal::ThresholdUnchecked(alpha, out.n, out.m);
-  out.reject = out.statistic > out.threshold;
-  return out;
+  return internal::RunSortedUnchecked(r_sorted, t_sorted, alpha);
 }
 
 Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,

@@ -81,6 +81,11 @@ namespace internal {
 double CriticalValueUnchecked(double alpha);
 double ThresholdUnchecked(double alpha, size_t n, size_t m);
 
+/// RunSorted past its validation: both samples sorted ascending, non-empty
+/// and finite, alpha in (0, 2). Allocates nothing.
+KsOutcome RunSortedUnchecked(const std::vector<double>& r_sorted,
+                             const std::vector<double>& t_sorted, double alpha);
+
 }  // namespace internal
 
 /// D(R,T) for samples that are already sorted ascending, by one merge over

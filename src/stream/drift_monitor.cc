@@ -164,18 +164,18 @@ DriftEvent DriftMonitor::Explain(size_t worker, size_t i,
   return event;
 }
 
-Status DriftMonitor::ExactWindowOutcome(const Stream& s,
-                                        WorkerScratch* scratch,
-                                        std::optional<KsOutcome>* outcome) {
-  s.WindowContentsInto(&scratch->window);
-  WindowBatch batch;
-  batch.data = scratch->window.data();
-  batch.count = 1;
-  batch.width = scratch->window.size();
-  MOCHE_RETURN_IF_ERROR(engine_.EvaluateBatchPrepared(
-      *s.prepared, batch, &scratch->workspace, &scratch->outcomes));
-  *outcome = scratch->outcomes[0];
-  return Status::OK();
+KsOutcome DriftMonitor::ExactWindowOutcome(const Stream& s,
+                                           std::vector<double>* window) {
+  // Sorted from window order, not read off s.sorted: its ±0.0 twins sit in
+  // arrival order on a live stream but in std::sort order after a restore,
+  // so only this sort gives both the same `location` bits. PushBatch's
+  // all_finite screens every live observation, and monitor_codec.cc's
+  // restore-time ring check every restored one.
+  s.WindowContentsInto(window);
+  // moche-lint: allow(sort-doubles): ring values are screened finite (above)
+  std::sort(window->begin(), window->end());
+  return ks::internal::RunSortedUnchecked(s.prepared->sorted_reference(),
+                                          *window, s.prepared->alpha());
 }
 
 Result<bool> DriftMonitor::JudgeWindow(size_t worker, Stream* s,
@@ -202,7 +202,7 @@ Result<bool> DriftMonitor::JudgeWindow(size_t worker, Stream* s,
       break;
   }
   ++s->triage_fallbacks;
-  MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(*s, &ScratchFor(worker), outcome));
+  *outcome = ExactWindowOutcome(*s, &ScratchFor(worker).window);
   return (*outcome)->reject;
 }
 
@@ -236,8 +236,7 @@ Status DriftMonitor::DrainStream(size_t worker, size_t i,
     if (!outcome.has_value()) {
       // A certified fail: the exact outcome is paid for only now that the
       // push fires.
-      MOCHE_RETURN_IF_ERROR(
-          ExactWindowOutcome(s, &ScratchFor(worker), &outcome));
+      outcome = ExactWindowOutcome(s, &ScratchFor(worker).window);
     }
     out->push_back(Explain(worker, i, *outcome));
     s.pushes_since_explained = 0;

@@ -306,22 +306,19 @@ class DriftMonitor {
   };
 
   /// One worker thread's reusable explanation scratch: the MOCHE workspace
-  /// plus the window-snapshot and preference-list buffers feeding it.
-  /// Indexed by ParallelForWorker's worker id, so it is never shared
-  /// between threads; created lazily on the worker's first explanation.
+  /// plus the window-snapshot and preference-list buffers feeding it (the
+  /// sketched fallback sorts its window copy in `window` too). Indexed by
+  /// ParallelForWorker's worker id, so it is never shared between threads;
+  /// created lazily on the worker's first explanation or fallback.
   struct WorkerScratch {
     ExplainWorkspace workspace;
     std::vector<double> window;
     PreferenceList pref;
-    /// One-slot landing pad for the sketched path's exact fallback
-    /// (EvaluateBatchPrepared writes its outcomes here).
-    std::vector<KsOutcome> outcomes;
 
     size_t FootprintBytes() const {
       return workspace.FootprintBytes() +
              window.capacity() * sizeof(double) +
-             pref.capacity() * sizeof(size_t) +
-             outcomes.capacity() * sizeof(KsOutcome);
+             pref.capacity() * sizeof(size_t);
     }
   };
 
@@ -350,10 +347,11 @@ class DriftMonitor {
   WorkerScratch& ScratchFor(size_t worker);
 
   /// Exact KS outcome for stream `s`'s current window against its
-  /// interned PreparedReference: copies the window into scratch.window and
-  /// runs a one-window EvaluateBatchPrepared (allocation-free once warm).
-  Status ExactWindowOutcome(const Stream& s, WorkerScratch* scratch,
-                            std::optional<KsOutcome>* outcome);
+  /// interned PreparedReference, bit-identical to ks::RunSorted on the
+  /// sorted reference and the sorted window: sorts a window-order copy in
+  /// *window (allocation-free once its capacity is warm).
+  static KsOutcome ExactWindowOutcome(const Stream& s,
+                                      std::vector<double>* window);
 
   /// Runs ExplainPreparedInto on stream i's current window, inside
   /// `worker`'s scratch.

@@ -2,9 +2,7 @@
 // once, ExplainPreparedInto reuses it per test window. Its contract is that
 // reports are bit-identical to the one-shot Explain on the same inputs.
 
-#include <algorithm>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,80 +98,22 @@ TEST(PreparedReferenceTest, OneReferenceManyWindowsMatchesExplain) {
   EXPECT_GE(explained, 8);
 }
 
-TEST(WindowBatchTest, BatchOutcomesMatchRunSortedPerWindow) {
-  // EvaluateBatchPrepared's contract: each outcome is bit-identical to
-  // running ks::RunSorted on that window alone.
-  Rng rng(2026);
-  std::vector<double> reference;
-  for (int i = 0; i < 150; ++i) reference.push_back(rng.Normal(0, 1));
-  Moche engine;
-  auto prepared = engine.Prepare(reference, 0.05);
-  ASSERT_TRUE(prepared.ok());
-
-  constexpr size_t kCount = 9;
-  constexpr size_t kWidth = 40;
-  std::vector<double> soa(kCount * kWidth);
-  for (size_t w = 0; w < kCount; ++w) {
-    const double shift = 0.15 * static_cast<double>(w);  // pass -> reject mix
-    for (size_t i = 0; i < kWidth; ++i) {
-      soa[w * kWidth + i] = rng.Normal(shift, 1.0);
-    }
-  }
-
-  ExplainWorkspace workspace;
-  std::vector<KsOutcome> outcomes;
-  WindowBatch batch{soa.data(), kCount, kWidth};
-  ASSERT_TRUE(engine.EvaluateBatchPrepared(*prepared, batch, &workspace,
-                                           &outcomes)
-                  .ok());
-  ASSERT_EQ(outcomes.size(), kCount);
-
-  size_t rejects = 0;
-  for (size_t w = 0; w < kCount; ++w) {
-    std::vector<double> window(soa.begin() + w * kWidth,
-                               soa.begin() + (w + 1) * kWidth);
-    std::sort(window.begin(), window.end());
-    auto solo = ks::RunSorted(prepared->sorted_reference(), window, 0.05);
-    ASSERT_TRUE(solo.ok()) << "window " << w;
-    EXPECT_EQ(outcomes[w].statistic, solo->statistic) << "window " << w;
-    EXPECT_EQ(outcomes[w].threshold, solo->threshold) << "window " << w;
-    EXPECT_EQ(outcomes[w].location, solo->location) << "window " << w;
-    EXPECT_EQ(outcomes[w].reject, solo->reject) << "window " << w;
-    EXPECT_EQ(outcomes[w].n, solo->n) << "window " << w;
-    EXPECT_EQ(outcomes[w].m, solo->m) << "window " << w;
-    rejects += outcomes[w].reject ? 1 : 0;
-  }
-  // The shift ramp must produce both outcomes or the test is vacuous.
-  EXPECT_GT(rejects, 0u);
-  EXPECT_LT(rejects, kCount);
-}
-
 TEST(WindowBatchTest, ValidatesBatchShapeAndContents) {
-  // EvaluateBatchPrepared and EvaluateBatchSketched share one batch
-  // validator; every case runs through both.
+  // EvaluateBatchSketched's batch validator.
   Moche engine;
   const std::vector<double> reference{1.0, 2.0, 3.0, 4.0};
-  auto prepared = engine.Prepare(reference, 0.05);
-  ASSERT_TRUE(prepared.ok());
   auto sketched = sketch::SketchedReference::FromSample(reference, 0.05);
   ASSERT_TRUE(sketched.ok());
   ExplainWorkspace workspace;
-  std::vector<KsOutcome> outcomes;
   std::vector<sketch::SketchTriage> triages;
-  // Both entry points on `batch`, each writing into two stale outputs.
+  // Evaluates `batch` into two stale outputs.
   const auto evaluate = [&](const WindowBatch& batch) {
-    outcomes.assign(2, KsOutcome{});
     triages.assign(2, sketch::SketchTriage{});
-    return std::make_pair(
-        engine.EvaluateBatchPrepared(*prepared, batch, &workspace, &outcomes),
-        engine.EvaluateBatchSketched(*sketched, batch, &workspace, &triages));
+    return engine.EvaluateBatchSketched(*sketched, batch, &workspace, &triages);
   };
 
   // Empty batch: OK, outputs cleared.
-  const auto empty = evaluate(WindowBatch{});
-  EXPECT_TRUE(empty.first.ok());
-  EXPECT_TRUE(empty.second.ok());
-  EXPECT_TRUE(outcomes.empty());
+  EXPECT_TRUE(evaluate(WindowBatch{}).ok());
   EXPECT_TRUE(triages.empty());
 
   const double data[4] = {1.0, 2.0, 3.0, 4.0};
@@ -187,11 +127,8 @@ TEST(WindowBatchTest, ValidatesBatchShapeAndContents) {
       WindowBatch{bad, 2, 2},
   };
   for (size_t i = 0; i < 3; ++i) {
-    const auto status = evaluate(malformed[i]);
-    EXPECT_TRUE(status.first.IsInvalidArgument()) << "case " << i;
-    EXPECT_TRUE(status.second.IsInvalidArgument()) << "case " << i;
-    EXPECT_EQ(outcomes.size(), 2u);  // untouched
-    EXPECT_EQ(triages.size(), 2u);
+    EXPECT_TRUE(evaluate(malformed[i]).IsInvalidArgument()) << "case " << i;
+    EXPECT_EQ(triages.size(), 2u);  // untouched
   }
 }
 
@@ -200,8 +137,6 @@ TEST(WindowBatchTest, RejectsOverflowingShape) {
   // nothing and the per-window loop would run off the buffer.
   const Moche engine;
   const std::vector<double> reference{1.0, 2.0, 3.0, 4.0};
-  auto prepared = engine.Prepare(reference, 0.05);
-  ASSERT_TRUE(prepared.ok());
   auto sketched = sketch::SketchedReference::FromSample(reference, 0.05);
   ASSERT_TRUE(sketched.ok());
   const double data[2] = {1.0, 2.0};
@@ -209,18 +144,12 @@ TEST(WindowBatchTest, RejectsOverflowingShape) {
   ExplainWorkspace workspace;
   for (const WindowBatch& batch :
        {WindowBatch{data, half, 2}, WindowBatch{data, 2, half}}) {
-    std::vector<KsOutcome> outcomes(1);
-    EXPECT_TRUE(engine
-                    .EvaluateBatchPrepared(*prepared, batch, &workspace,
-                                           &outcomes)
-                    .IsInvalidArgument());
-    EXPECT_EQ(outcomes.size(), 1u);  // untouched
     std::vector<sketch::SketchTriage> triages(1);
     EXPECT_TRUE(engine
                     .EvaluateBatchSketched(*sketched, batch, &workspace,
                                            &triages)
                     .IsInvalidArgument());
-    EXPECT_EQ(triages.size(), 1u);
+    EXPECT_EQ(triages.size(), 1u);  // untouched
   }
 }
 

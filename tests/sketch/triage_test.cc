@@ -190,7 +190,7 @@ TEST(SketchTriageTest, BatchedTriageMatchesPerWindowTriage) {
     EXPECT_EQ(triages[w].upper, single->upper);
   }
 
-  // Batch validation mirrors EvaluateBatchPrepared.
+  // One non-finite value fails the whole batch.
   flat[3] = std::nan("");
   EXPECT_FALSE(
       engine.EvaluateBatchSketched(sketched, batch, &workspace, &triages)

@@ -264,9 +264,11 @@ TEST(DriftMonitorTest, ParallelEventLogBitIdenticalToSequential) {
 // Moche::Explain gives on its stream's last w observations at event.tick,
 // under the monitor's preference: the same status and, when explained, the
 // same k, k̂ and indices. A sketched event's outcome must also equal ks::Run
-// on that window bit for bit (the kExact detector's integer scores may
-// differ within ~1e-9, see the drift_monitor.h header). Stream s has
-// window windows[s] and was fed f.scenarios[s] in full.
+// on that window (ks::RunSorted on the sorted reference and the std::sort
+// of the window) bit for bit, the sign of a zero location included (the
+// kExact detector's integer scores may differ within ~1e-9, see the
+// drift_monitor.h header). Stream s has window windows[s] and was fed
+// f.scenarios[s] in full.
 void ExpectEventsMatchOracle(const Fixture& f,
                              const std::vector<size_t>& windows) {
   const MonitorOptions& options = f.monitor.options();
@@ -300,6 +302,12 @@ void ExpectEventsMatchOracle(const Fixture& f,
       EXPECT_EQ(event.outcome.statistic, run->statistic);
       EXPECT_EQ(event.outcome.threshold, run->threshold);
       EXPECT_EQ(event.outcome.reject, run->reject);
+      // Equal finite doubles with equal sign bits are bit-identical.
+      EXPECT_EQ(event.outcome.location, run->location);
+      EXPECT_EQ(std::signbit(event.outcome.location),
+                std::signbit(run->location));
+      EXPECT_EQ(event.outcome.n, run->n);
+      EXPECT_EQ(event.outcome.m, run->m);
     }
   }
 }
@@ -337,6 +345,47 @@ TEST(DriftMonitorTest, EventsMatchFromScratchOracle) {
       ExpectEventsMatchOracle(f, windows);
     }
   }
+}
+
+TEST(DriftMonitorTest, SketchedEventLocationKeepsTheSortedWindowsZero) {
+  // A zero-free reference and a window of -3.0s and mixed-sign zeros: D
+  // peaks at 0, so the location is the first zero of the sorted window.
+  // std::sort of the window in window order puts a -0.0 first, while the
+  // stream's incrementally sorted copy keeps its zeros in arrival order
+  // (+0.0 first), and a restore rebuilds that copy with std::sort. The
+  // exact outcome must come from the window-order sort so that a live and
+  // a restored monitor report the same bits.
+  const size_t window = 40;
+  ts::DriftScenario sc;
+  sc.name = "signed_zeros";
+  Rng rng(kSeed);
+  for (int i = 0; i < 200; ++i) {
+    sc.reference.push_back(i % 2 == 0 ? -rng.Uniform(1.0, 2.0)
+                                      : rng.Uniform(1.0, 2.0));
+  }
+  for (size_t i = 0; i < window; ++i) {
+    const double zero = (i / 3) % 2 == 0 ? 0.0 : -0.0;
+    sc.observations.push_back(i % 3 == 0 ? -3.0 : zero);
+  }
+  std::vector<double> sorted = sc.observations;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> arrival = sc.observations;
+  std::stable_sort(arrival.begin(), arrival.end());
+  const auto first_zero = [](const std::vector<double>& v) {
+    return *std::lower_bound(v.begin(), v.end(), 0.0);
+  };
+  ASSERT_NE(std::signbit(first_zero(sorted)), std::signbit(first_zero(arrival)))
+      << "the two sort orders must disagree or the test is vacuous";
+
+  auto monitor = DriftMonitor::Create(
+      WithMode(MonitorOptions{}, ReferenceMode::kSketched));
+  ASSERT_TRUE(monitor.ok());
+  Fixture f{std::move(monitor).value(), {sc}};
+  ASSERT_TRUE(f.monitor.AddStream(sc.name, sc.reference, window).ok());
+  Replay(&f, window);
+  ASSERT_EQ(f.monitor.events().size(), 1u);
+  EXPECT_EQ(f.monitor.events().front().outcome.location, 0.0);
+  ExpectEventsMatchOracle(f, {window});
 }
 
 TEST(SketchedMonitorTest, CreateValidatesSketchK) {

@@ -1,11 +1,11 @@
 // The zero-allocation contract of the explain pipeline:
 //  * a warmed-up Moche::ExplainPreparedInto call performs no heap
 //    allocation when the caller recycles its workspace and report;
-//  * a warmed-up Moche::EvaluateBatchPrepared or EvaluateBatchSketched
-//    call performs none when the caller recycles its workspace and
-//    output vector;
+//  * a warmed-up Moche::EvaluateBatchSketched call performs none when the
+//    caller recycles its workspace and output vector;
 //  * a warmed-up sequential DriftMonitor::PushBatch that fires no drift
-//    event performs no heap allocation at all;
+//    event performs no heap allocation at all, also when sketched triage
+//    falls back to the exact test;
 //  * what an explanation against a prepared reference leaves in its
 //    workspace grows with the window, not with the reference.
 //
@@ -86,68 +86,6 @@ TEST(WorkspaceAllocTest, WarmExplainPreparedIntoAllocatesNothing) {
       << "warmed-up ExplainPreparedInto must be allocation-free";
 }
 
-// Two flat SoA batches of the same shape: windows alternate between the
-// reference's distribution and a shifted one, so both KS verdicts occur.
-constexpr size_t kBatchWindows = 32;
-constexpr size_t kBatchWidth = 200;
-
-std::vector<double> FlatBatch(Rng* rng) {
-  std::vector<double> data;
-  data.reserve(kBatchWindows * kBatchWidth);
-  for (size_t w = 0; w < kBatchWindows; ++w) {
-    const double shift = w % 2 == 0 ? 0.0 : 0.8;
-    for (size_t j = 0; j < kBatchWidth; ++j) {
-      data.push_back(rng->Normal(shift, 1.0));
-    }
-  }
-  return data;
-}
-
-WindowBatch View(const std::vector<double>& data) {
-  return WindowBatch{data.data(), kBatchWindows, kBatchWidth};
-}
-
-// Warms `evaluate` on one batch, then requires re-running it on that batch
-// and on a fresh batch of the same shape to allocate nothing.
-template <typename Evaluate>
-void ExpectWarmBatchAllocatesNothing(Rng* rng, const Evaluate& evaluate,
-                                     const char* what) {
-  const std::vector<double> warm_data = FlatBatch(rng);
-  const std::vector<double> steady_data = FlatBatch(rng);
-  ASSERT_TRUE(evaluate(View(warm_data)).ok());
-
-  size_t failures = 0;
-  AllocationProbe probe;
-  for (const std::vector<double>* data : {&warm_data, &steady_data}) {
-    failures += !evaluate(View(*data)).ok();
-  }
-  const size_t allocations = probe.Delta();
-  EXPECT_EQ(failures, 0u);
-  EXPECT_EQ(allocations, 0u)
-      << "warmed-up " << what << " must be allocation-free";
-}
-
-TEST(WorkspaceAllocTest, WarmEvaluateBatchPreparedAllocatesNothing) {
-  Rng rng(5150);
-  const std::vector<double> reference = NormalSample(&rng, 4000, 0.0, 1.0);
-  const Moche engine;
-  auto prepared = engine.Prepare(reference, 0.05);
-  ASSERT_TRUE(prepared.ok());
-
-  ExplainWorkspace workspace;
-  std::vector<KsOutcome> outcomes;
-  ExpectWarmBatchAllocatesNothing(
-      &rng,
-      [&](const WindowBatch& batch) {
-        return engine.EvaluateBatchPrepared(*prepared, batch, &workspace,
-                                            &outcomes);
-      },
-      "EvaluateBatchPrepared");
-  ASSERT_EQ(outcomes.size(), kBatchWindows);
-  EXPECT_FALSE(outcomes[0].reject);
-  EXPECT_TRUE(outcomes[1].reject);
-}
-
 TEST(WorkspaceAllocTest, WarmEvaluateBatchSketchedAllocatesNothing) {
   Rng rng(6160);
   const std::vector<double> reference = NormalSample(&rng, 4000, 0.0, 1.0);
@@ -159,16 +97,38 @@ TEST(WorkspaceAllocTest, WarmEvaluateBatchSketchedAllocatesNothing) {
       sketch::SketchedReference::FromSample(reference, 0.05, kll_options);
   ASSERT_TRUE(sketched.ok());
 
+  // Two flat SoA batches of the same shape: windows alternate between the
+  // reference's distribution and a shifted one, so both verdicts occur.
+  constexpr size_t kWindows = 32;
+  constexpr size_t kWidth = 200;
+  std::vector<std::vector<double>> batches(2);
+  for (std::vector<double>& data : batches) {
+    for (size_t w = 0; w < kWindows; ++w) {
+      const std::vector<double> window =
+          NormalSample(&rng, kWidth, w % 2 == 0 ? 0.0 : 0.8, 1.0);
+      data.insert(data.end(), window.begin(), window.end());
+    }
+  }
   ExplainWorkspace workspace;
   std::vector<sketch::SketchTriage> triages;
-  ExpectWarmBatchAllocatesNothing(
-      &rng,
-      [&](const WindowBatch& batch) {
-        return engine.EvaluateBatchSketched(*sketched, batch, &workspace,
-                                            &triages);
-      },
-      "EvaluateBatchSketched");
-  ASSERT_EQ(triages.size(), kBatchWindows);
+  const auto evaluate = [&](const std::vector<double>& data) {
+    return engine.EvaluateBatchSketched(
+        *sketched, WindowBatch{data.data(), kWindows, kWidth}, &workspace,
+        &triages);
+  };
+  // Warm on the first batch, then re-run it and a fresh batch of the same
+  // shape.
+  ASSERT_TRUE(evaluate(batches[0]).ok());
+  size_t failures = 0;
+  AllocationProbe probe;
+  for (const std::vector<double>& data : batches) {
+    failures += !evaluate(data).ok();
+  }
+  const size_t allocations = probe.Delta();
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(allocations, 0u)
+      << "warmed-up EvaluateBatchSketched must be allocation-free";
+  ASSERT_EQ(triages.size(), kWindows);
   EXPECT_NE(triages[0].verdict, sketch::TriageVerdict::kCertainFail);
   EXPECT_EQ(triages[1].verdict, sketch::TriageVerdict::kCertainFail);
 }
@@ -198,15 +158,23 @@ TEST(WorkspaceAllocTest, WarmFindExplanationSizeIntoAllocatesNothing) {
 }
 
 TEST(WorkspaceAllocTest, SteadyStatePushBatchAllocatesNothing) {
-  // Both reference modes: kExact updates its detector trees in place,
-  // kSketched keeps its sorted window within the capacity AddStream
-  // reserved. The sketched leg's default sketch_k holds the whole
-  // reference, so every verdict is certified and the leg exercises the
-  // triage path alone.
-  for (stream::ReferenceMode mode :
-       {stream::ReferenceMode::kExact, stream::ReferenceMode::kSketched}) {
-    const bool sketched = mode == stream::ReferenceMode::kSketched;
-    SCOPED_TRACE(sketched ? "kSketched" : "kExact");
+  // kExact updates its detector trees in place; kSketched keeps its sorted
+  // window within the capacity AddStream reserved. The default sketch_k
+  // holds the whole reference, so every verdict is certified and that leg
+  // exercises the triage path alone. A coarse sketch_k leaves the same
+  // windows inside the uncertain band, so its leg also runs the exact
+  // fallback against the prepared reference.
+  struct Leg {
+    const char* name;
+    stream::ReferenceMode mode;
+    size_t sketch_k;
+  };
+  const size_t kDefaultSketchK = stream::MonitorOptions{}.sketch_k;
+  for (const Leg& leg :
+       {Leg{"kExact", stream::ReferenceMode::kExact, kDefaultSketchK},
+        Leg{"kSketched", stream::ReferenceMode::kSketched, kDefaultSketchK},
+        Leg{"kSketched coarse", stream::ReferenceMode::kSketched, 32}}) {
+    SCOPED_TRACE(leg.name);
     Rng rng(4242);
     const size_t kStreams = 4;
     const size_t kWindow = 64;
@@ -215,7 +183,8 @@ TEST(WorkspaceAllocTest, SteadyStatePushBatchAllocatesNothing) {
     stream::MonitorOptions options;
     options.alpha = 0.01;  // quiet: in-distribution windows never reject
     options.num_threads = 1;
-    options.reference_mode = mode;
+    options.reference_mode = leg.mode;
+    options.sketch_k = leg.sketch_k;
     auto monitor = stream::DriftMonitor::Create(options);
     ASSERT_TRUE(monitor.ok());
     for (size_t i = 0; i < kStreams; ++i) {
@@ -244,7 +213,7 @@ TEST(WorkspaceAllocTest, SteadyStatePushBatchAllocatesNothing) {
     ASSERT_EQ(warm_failures, 0u);
     ASSERT_TRUE(monitor->events().empty())
         << "config must stay quiet for the steady-state claim to make sense";
-    const uint64_t passes_before = monitor->stats().triage_certified_pass;
+    const stream::DriftMonitor::Stats before = monitor->stats();
 
     size_t failures = 0;
     AllocationProbe probe;
@@ -256,12 +225,20 @@ TEST(WorkspaceAllocTest, SteadyStatePushBatchAllocatesNothing) {
     EXPECT_EQ(allocations, 0u)
         << "warmed-up no-event PushBatch must be allocation-free";
     EXPECT_TRUE(monitor->events().empty());
-    if (sketched) {
-      // Every steady push triaged a full window and none fell back.
+    if (leg.mode == stream::ReferenceMode::kSketched) {
+      // Every steady push triaged a full window; only the coarse leg's
+      // fell back.
       const stream::DriftMonitor::Stats stats = monitor->stats();
-      EXPECT_EQ(stats.triage_certified_pass - passes_before,
-                kSteadyBatches * kStreams * kBatchTicks);
-      EXPECT_EQ(stats.triage_fallbacks, 0u);
+      const uint64_t passes =
+          stats.triage_certified_pass - before.triage_certified_pass;
+      const uint64_t fallbacks =
+          stats.triage_fallbacks - before.triage_fallbacks;
+      EXPECT_EQ(passes + fallbacks, kSteadyBatches * kStreams * kBatchTicks);
+      if (leg.sketch_k == kDefaultSketchK) {
+        EXPECT_EQ(stats.triage_fallbacks, 0u);
+      } else {
+        EXPECT_GT(fallbacks, 0u);
+      }
     }
   }
 }
@@ -320,15 +297,6 @@ TEST(WorkspaceAllocTest, ExplainFootprintIsLinearInTheWindowNotTheReference) {
                     .ok());
     EXPECT_GT(report.k, 0u);
   }
-  // The exact KS fallback walks the same anchors and keeps no buffer.
-  const std::vector<double> flat =
-      NormalSample(&rng, 16 * kFootprintWindow, 0.2, 1.0);
-  std::vector<KsOutcome> outcomes;
-  ASSERT_TRUE(engine
-                  .EvaluateBatchPrepared(
-                      *prepared, WindowBatch{flat.data(), 16, kFootprintWindow},
-                      &workspace, &outcomes)
-                  .ok());
   EXPECT_LT(workspace.FootprintBytes(), WindowLinearBound(kFootprintWindow));
 }
 
