@@ -10,8 +10,9 @@
 // status code, explanation indices, sizes, outcomes (bit-exact statistics)
 // or search counters. FindExplanationSize* must agree with the report's
 // phase-1 numbers, report.after must match T \ I rebuilt by index mask and
-// std::sort, and ks::internal::RunSortedUnchecked on each sorted window of
-// a flat batch against the prepared reference must match ks::Run.
+// sorted into the canonical order (-0.0 before +0.0), and
+// ks::internal::RunSortedUnchecked on each canonically sorted window of a
+// flat batch against the prepared reference must match ks::Run.
 //
 // Two more legs hold the anchored explain path (a frame of test values and
 // reference-run ends, core/cumulative.h) to a full-frame oracle built from
@@ -22,6 +23,7 @@
 // bytes after every older leg, so the committed corpus keeps its meaning.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -41,6 +43,14 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// The library's canonical order (ascending, -0.0 before +0.0), by a
+// comparator of the target's own rather than through moche::SortFinite.
+void SortCanonical(std::vector<double>* v) {
+  std::sort(v->begin(), v->end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
+}
+
 void CheckOutcomesIdentical(const moche::KsOutcome& a,
                             const moche::KsOutcome& b, const char* what,
                             size_t window) {
@@ -57,7 +67,7 @@ void CheckOutcomesIdentical(const moche::KsOutcome& a,
                    "window %zu: %s outcome fields differ", window, what);
 }
 
-// The re-check oracle: T \ I from an index mask, sorted with std::sort,
+// The re-check oracle: T \ I from an index mask, sorted canonically,
 // tested with ks::StatisticSorted. Every explain path shares the library's
 // merge-based T \ I, so only this independent rebuild can catch it.
 moche::KsOutcome MaskAndSortAfter(const std::vector<double>& sorted_reference,
@@ -70,7 +80,7 @@ moche::KsOutcome MaskAndSortAfter(const std::vector<double>& sorted_reference,
   for (size_t i = 0; i < test.size(); ++i) {
     if (!removed[i]) remaining.push_back(test[i]);
   }
-  std::sort(remaining.begin(), remaining.end());
+  SortCanonical(&remaining);
   moche::KsOutcome out;
   out.n = sorted_reference.size();
   out.m = remaining.size();
@@ -284,7 +294,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     auto direct = moche::ks::Run(reference, window, alpha);
     MOCHE_FUZZ_CHECK(direct.ok(), "direct recompute failed: %s",
                      direct.status().message().c_str());
-    std::sort(window.begin(), window.end());
+    SortCanonical(&window);
     const moche::KsOutcome unchecked = moche::ks::internal::RunSortedUnchecked(
         prepared->sorted_reference(), window, alpha);
     CheckOutcomesIdentical(unchecked, *direct, "RunSortedUnchecked", w);

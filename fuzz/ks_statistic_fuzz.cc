@@ -9,20 +9,66 @@
 // order-insensitive, so agreement is required BIT-EXACTLY (memcmp), not
 // within a tolerance. Any last-ulp divergence here would break the SIMD
 // bit-identity contract one layer up.
+//
+// A last leg holds SortFinite, the sort behind every KS outcome, to
+// std::sort with a canonical comparator (ascending, -0.0 before +0.0) on
+// both its paths. It draws no bytes: its sample is R, T and every midpoint
+// r/2 + t/2, so n * m past kRadixSortMinSize takes the radix path and the
+// committed corpus replays unchanged.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "fuzz_target.h"
 #include "ks/ks_test.h"
 #include "provider.h"
+#include "util/sort.h"
 
 namespace {
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// SortFinite in place and through a scratch buffer against std::sort with
+// a canonical comparator: bit-equal outputs, a permutation of the input,
+// non-decreasing in SortKey.
+void CheckSortFinite(const std::vector<double>& input) {
+  std::vector<double> expected = input;
+  std::sort(expected.begin(), expected.end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
+  std::vector<double> in_place = input;
+  moche::SortFinite(&in_place);
+  std::vector<double> lent = input;
+  std::vector<double> scratch;
+  moche::SortFinite(&lent, &scratch);
+  for (size_t i = 0; i < input.size(); ++i) {
+    MOCHE_FUZZ_CHECK(SameBits(in_place[i], expected[i]) &&
+                         SameBits(lent[i], expected[i]),
+                     "SortFinite index %zu of %zu: %.17g / %.17g, want %.17g",
+                     i, input.size(), in_place[i], lent[i], expected[i]);
+    MOCHE_FUZZ_CHECK(i == 0 || moche::SortKey(lent[i - 1]) <=
+                                   moche::SortKey(lent[i]),
+                     "SortFinite not ascending in SortKey at index %zu", i);
+  }
+  std::vector<uint64_t> bits_in(input.size());
+  std::vector<uint64_t> bits_out(input.size());
+  std::transform(input.begin(), input.end(), bits_in.begin(), BitsOf);
+  std::transform(lent.begin(), lent.end(), bits_out.begin(), BitsOf);
+  std::sort(bits_in.begin(), bits_in.end());
+  std::sort(bits_out.begin(), bits_out.end());
+  MOCHE_FUZZ_CHECK(bits_in == bits_out,
+                   "SortFinite output is not a permutation of its input");
 }
 
 // Textbook D(R,T) over the sorted union grid; mirrors the documented
@@ -144,5 +190,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     MOCHE_FUZZ_CHECK(run->n == r.size() && run->m == t.size(),
                      "outcome sizes n=%zu m=%zu mismatch", run->n, run->m);
   }
+
+  // SortFinite on R, T and their pairwise midpoints (finite: each half is
+  // at most DBL_MAX / 2), n + m + n * m values from the bytes already read.
+  std::vector<double> sample = r;
+  sample.insert(sample.end(), t.begin(), t.end());
+  for (double x : r) {
+    for (double y : t) sample.push_back(x / 2 + y / 2);
+  }
+  CheckSortFinite(sample);
   return 0;
 }

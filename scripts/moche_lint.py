@@ -18,7 +18,9 @@ contracts"):
                    operator<< honor LC_NUMERIC, so a comma-decimal locale
                    silently corrupts artifacts that are diffed byte-for-byte.
   sort-doubles     std::sort/std::nth_element on a range containing NaN is
-                   undefined behavior (strict-weak-ordering violation).
+                   undefined behavior (strict-weak-ordering violation), and
+                   so is SortFinite (util/sort.h), which falls back to
+                   std::sort.
                    Every sort call site in src/ must either live in a file
                    audited for NaN screening (the allowlist) or carry an
                    inline allow comment stating why NaN cannot reach it.
@@ -101,7 +103,8 @@ STREAM_INSERT_RE = re.compile(r"<<(?!=)")
 TO_STRING_RE = re.compile(r"std::to_string\s*\(")
 SETPRECISION_RE = re.compile(r"\bsetprecision\s*\(")
 SORT_RE = re.compile(
-    r"std::(?:stable_)?sort\s*\(|std::nth_element\s*\(|std::partial_sort\s*\(")
+    r"std::(?:stable_)?sort\s*\(|std::nth_element\s*\(|std::partial_sort\s*\("
+    r"|\bSortFinite\s*\(")
 SIMD_INCLUDE_RE = re.compile(
     r'#\s*include\s*[<"](?:immintrin|x86intrin|emmintrin|xmmintrin|smmintrin|'
     r"avxintrin|arm_neon|arm_sve)\.h")

@@ -158,6 +158,15 @@ class SortDoublesRuleTest(LintFixture):
                    "void f() { std::stable_sort(b, e); }\n")
         self.assert_flags("sort-doubles", self.run_lint())
 
+    def test_flags_sort_finite(self):
+        self.write("src/util/w.cc",
+                   "void f(std::vector<double>* v) { SortFinite(v); }\n")
+        self.assert_flags("sort-doubles", self.run_lint())
+        self.write("src/util/w.cc",
+                   "// moche-lint: allow(sort-doubles): screened above\n"
+                   "void f(std::vector<double>* v) { SortFinite(v); }\n")
+        self.assert_clean(self.run_lint())
+
     def test_inline_allow_with_reason_suppresses(self):
         self.write("src/util/w.cc",
                    "// moche-lint: allow(sort-doubles): ints only\n"

@@ -6,22 +6,23 @@
 #include "ks/anchors.h"
 #include "ks/ks_test.h"
 #include "util/logging.h"
+#include "util/sort.h"
 #include "util/string_util.h"
 
 namespace moche {
 
 Result<CumulativeFrame> CumulativeFrame::Build(const std::vector<double>& r,
                                                const std::vector<double>& t) {
-  // Validate before sorting: std::sort on a range with NaN is undefined
+  // Validate before sorting: SortFinite on a range with NaN is undefined
   // behavior.
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(r, "reference set"));
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(t, "test set"));
   std::vector<double> rs = r;
   std::vector<double> ts = t;
   // moche-lint: allow(sort-doubles): range validated finite above (ks::ValidateSample)
-  std::sort(rs.begin(), rs.end());
+  SortFinite(&rs);
   // moche-lint: allow(sort-doubles): range validated finite above (ks::ValidateSample)
-  std::sort(ts.begin(), ts.end());
+  SortFinite(&ts);
   CumulativeFrame frame;
   BuildFromSortedUncheckedInto(rs, ts, &frame);
   return frame;

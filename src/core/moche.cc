@@ -6,33 +6,28 @@
 
 #include "core/cumulative.h"
 #include "util/simd.h"
+#include "util/sort.h"
 
 namespace moche {
 namespace {
 
-// True when a sorted sample holds both -0.0 and +0.0: the one case where
-// two equal doubles differ in their bits.
-bool HoldsBothSignedZeros(const std::vector<double>& sorted) {
-  const auto zeros = std::equal_range(sorted.begin(), sorted.end(), 0.0);
-  const auto negative = [](double v) { return std::signbit(v); };
-  return std::any_of(zeros.first, zeros.second, negative) &&
-         !std::all_of(zeros.first, zeros.second, negative);
-}
-
 // Copies `size` doubles from `data` into *sorted (capacity reused) and
-// sorts them. The caller has checked that every value is finite.
+// sorts them with SortFinite, radix-sorting through *scratch when the copy
+// is long enough. The caller has checked that every value is finite.
 void SortedCopyInto(const double* data, size_t size,
-                    std::vector<double>* sorted) {
+                    std::vector<double>* sorted,
+                    std::vector<double>* scratch) {
   sorted->assign(data, data + size);
-  std::sort(sorted->begin(), sorted->end());
+  // moche-lint: allow(sort-doubles): every caller screens the values finite (ValidatedSortedCopyInto or ValidateBatch)
+  SortFinite(sorted, scratch);
 }
 
 // ks::ValidateSample, then SortedCopyInto.
 Status ValidatedSortedCopyInto(const std::vector<double>& sample,
-                               const char* name,
-                               std::vector<double>* sorted) {
+                               const char* name, std::vector<double>* sorted,
+                               std::vector<double>* scratch) {
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(sample, name));
-  SortedCopyInto(sample.data(), sample.size(), sorted);
+  SortedCopyInto(sample.data(), sample.size(), sorted, scratch);
   return Status::OK();
 }
 
@@ -76,7 +71,10 @@ Result<PreparedReference> Moche::Prepare(std::vector<double> reference,
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
   MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
   PreparedReference prepared;
-  std::sort(reference.begin(), reference.end());
+  // In place, with no scratch: a 2^20-point reference costs no transient
+  // memory.
+  // moche-lint: allow(sort-doubles): ks::ValidateSample screened the reference above
+  SortFinite(&reference);
   prepared.sorted_reference_ = std::move(reference);
   prepared.alpha_ = alpha;
   return prepared;
@@ -103,6 +101,9 @@ Result<PreparedReference> PreparedReference::DeserializeFrom(
     return Status::InvalidArgument(
         "prepared reference: snapshot sample is not sorted");
   }
+  // A snapshot written before SortFinite holds its ±0.0 run in whatever
+  // order std::sort left it; Prepare would have written it -0.0 first.
+  SortZeroRun(&prepared.sorted_reference_);
   prepared.alpha_ = alpha;
   return prepared;
 }
@@ -122,7 +123,8 @@ Status Moche::ExplainInto(const std::vector<double>& reference,
                           ExplainWorkspace* workspace,
                           MocheReport* report) const {
   MOCHE_RETURN_IF_ERROR(ValidatedSortedCopyInto(
-      reference, "reference set", &workspace->reference_sorted_));
+      reference, "reference set", &workspace->reference_sorted_,
+      &workspace->sort_scratch_));
   MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
   return ExplainSortedInto(workspace->reference_sorted_, alpha, test,
                            preference, workspace, report);
@@ -136,8 +138,8 @@ Result<SizeSearchResult> Moche::SearchSizeInto(
   // Per-call validation covers only the test window; the reference and
   // alpha were validated (and R sorted) by the caller, so the per-window
   // cost carries no redundant O(n) re-scans of the reference.
-  MOCHE_RETURN_IF_ERROR(
-      ValidatedSortedCopyInto(test, "test set", &ws.test_sorted_));
+  MOCHE_RETURN_IF_ERROR(ValidatedSortedCopyInto(
+      test, "test set", &ws.test_sorted_, &ws.sort_scratch_));
   const KsOutcome outcome = ks::internal::RunSortedUnchecked(
       sorted_reference, ws.test_sorted_, alpha);
   if (!outcome.reject) {
@@ -186,38 +188,33 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
       &report->explanation));
 
   // T \ I, built here without sorting T again (RemoveExplanation would
-  // also copy the reference into a KsInstance, O(n) per window).
+  // also copy the reference into a KsInstance, O(n) per window). T and the
+  // k explained values are both in SortFinite's order, where no two
+  // bit-distinct doubles tie, so one merge by SortKey drops exactly the
+  // explained copies, a -0.0 for a -0.0: O(m + k log k), and T \ I comes
+  // out as SortFinite would sort it.
   const std::vector<double>& test_sorted = ws.test_sorted_;
+  std::vector<double>& removed = ws.removed_values_;
+  removed.clear();
+  for (size_t idx : report->explanation.indices) {
+    removed.push_back(test[idx]);
+  }
+  // moche-lint: allow(sort-doubles): values of the test window validated finite above
+  SortFinite(&removed, &ws.sort_scratch_);
   std::vector<double>& remaining = ws.remaining_;
   remaining.clear();
-  remaining.reserve(test.size() - report->explanation.size());
-  if (HoldsBothSignedZeros(test_sorted)) {
-    // -0.0 == +0.0, so a merge by value could drop a zero of the other
-    // sign than the explained point's; mask by index and sort instead.
-    ws.removed_.assign(test.size(), 0);
-    for (size_t idx : report->explanation.indices) ws.removed_[idx] = 1;
-    for (size_t i = 0; i < test.size(); ++i) {
-      if (!ws.removed_[i]) remaining.push_back(test[i]);
-    }
-    std::sort(remaining.begin(), remaining.end());
-  } else {
-    // Every other pair of equal doubles is bit-identical, so merging the
-    // k sorted explained values out of the sorted window gives the same
-    // array in O(m + k log k).
-    std::vector<double>& removed = ws.removed_values_;
-    removed.clear();
-    for (size_t idx : report->explanation.indices) {
-      removed.push_back(test[idx]);
-    }
-    std::sort(removed.begin(), removed.end());
-    auto from = test_sorted.cbegin();
-    for (double value : removed) {
-      const auto hit = std::lower_bound(from, test_sorted.cend(), value);
-      remaining.insert(remaining.end(), from, hit);
-      from = hit + 1;
-    }
-    remaining.insert(remaining.end(), from, test_sorted.cend());
+  remaining.reserve(test.size() - removed.size());
+  const auto key_less = [](double a, double b) {
+    return SortKey(a) < SortKey(b);
+  };
+  auto from = test_sorted.cbegin();
+  for (double value : removed) {
+    const auto hit =
+        std::lower_bound(from, test_sorted.cend(), value, key_less);
+    remaining.insert(remaining.end(), from, hit);
+    from = hit + 1;
   }
+  remaining.insert(remaining.end(), from, test_sorted.cend());
   if (remaining.empty()) {
     return Status::Internal("explanation removed the whole test set");
   }
@@ -245,8 +242,8 @@ Status Moche::TriageSketchedInto(const sketch::SketchedReference& sketched,
                                  ExplainWorkspace* workspace,
                                  sketch::SketchTriage* triage) const {
   std::vector<double>& test_sorted = workspace->test_sorted_;
-  MOCHE_RETURN_IF_ERROR(
-      ValidatedSortedCopyInto(test, "test set", &test_sorted));
+  MOCHE_RETURN_IF_ERROR(ValidatedSortedCopyInto(
+      test, "test set", &test_sorted, &workspace->sort_scratch_));
   *triage = sketched.Classify(sketched.StatisticAgainstSorted(test_sorted),
                               test_sorted.size());
   return Status::OK();
@@ -260,7 +257,8 @@ Status Moche::EvaluateBatchSketched(
   triages->resize(batch.count);
   std::vector<double>& test_sorted = workspace->test_sorted_;
   for (size_t w = 0; w < batch.count; ++w) {
-    SortedCopyInto(batch.data + w * batch.width, batch.width, &test_sorted);
+    SortedCopyInto(batch.data + w * batch.width, batch.width, &test_sorted,
+                   &workspace->sort_scratch_);
     (*triages)[w] = sketched.Classify(
         sketched.StatisticAgainstSorted(test_sorted), batch.width);
   }

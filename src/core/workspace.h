@@ -49,10 +49,11 @@ class ExplainWorkspace {
   /// the workspace-pool footprint.
   size_t FootprintBytes() const {
     return (reference_sorted_.capacity() + test_sorted_.capacity() +
-            removed_values_.capacity() + remaining_.capacity()) *
+            sort_scratch_.capacity() + removed_values_.capacity() +
+            remaining_.capacity()) *
                sizeof(double) +
-           removed_.capacity() + frame_.FootprintBytes() +
-           engine_.FootprintBytes() + build_.FootprintBytes();
+           frame_.FootprintBytes() + engine_.FootprintBytes() +
+           build_.FootprintBytes();
   }
 
  private:
@@ -60,11 +61,11 @@ class ExplainWorkspace {
 
   std::vector<double> reference_sorted_;  // ExplainInto's sorted R
   std::vector<double> test_sorted_;
+  std::vector<double> sort_scratch_;  // SortFinite's radix buffer
   CumulativeFrame frame_;
   BoundsEngine engine_;
   BuildScratch build_;
   std::vector<double> removed_values_;  // the explained values, sorted
-  std::vector<unsigned char> removed_;  // T \ I index mask (signed zeros)
   std::vector<double> remaining_;       // T \ I, sorted
 };
 

@@ -7,6 +7,7 @@
 #include "ks/anchors.h"
 #include "util/logging.h"
 #include "util/simd.h"
+#include "util/sort.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -162,8 +163,8 @@ double StatisticAnchored(const std::vector<double>& r_sorted,
 
 double Statistic(std::vector<double> r, std::vector<double> t,
                  double* location) {
-  // Screen before sorting: std::sort on a NaN-bearing range is UB. (Inf is
-  // fine here — it has a rank; only Run/ValidateSample reject it.)
+  // Screen before sorting: SortFinite on a NaN-bearing range is UB. (Inf
+  // is fine here — it has a rank; only Run/ValidateSample reject it.)
   for (const std::vector<double>* s : {&r, &t}) {
     for (double v : *s) {
       if (std::isnan(v)) {
@@ -173,9 +174,9 @@ double Statistic(std::vector<double> r, std::vector<double> t,
     }
   }
   // moche-lint: allow(sort-doubles): ranges screened NaN-free above
-  std::sort(r.begin(), r.end());
+  SortFinite(&r);
   // moche-lint: allow(sort-doubles): ranges screened NaN-free above
-  std::sort(t.begin(), t.end());
+  SortFinite(&t);
   return StatisticSorted(r, t, location);
 }
 
@@ -217,14 +218,14 @@ Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
 
 Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
                       double alpha) {
-  // Validate before sorting — a NaN must never reach std::sort (UB).
+  // Validate before sorting — a NaN must never reach SortFinite (UB).
   // RunSorted re-validates; all_finite is one cheap SIMD pass.
   MOCHE_RETURN_IF_ERROR(ValidateSample(r, "reference set"));
   MOCHE_RETURN_IF_ERROR(ValidateSample(t, "test set"));
   // moche-lint: allow(sort-doubles): ranges validated finite above
-  std::sort(r.begin(), r.end());
+  SortFinite(&r);
   // moche-lint: allow(sort-doubles): ranges validated finite above
-  std::sort(t.begin(), t.end());
+  SortFinite(&t);
   return RunSorted(r, t, alpha);
 }
 
@@ -238,9 +239,9 @@ RemovalKs::RemovalKs(const std::vector<double>& r,
   std::vector<double> rs = r;
   std::vector<double> ts = t;
   // moche-lint: allow(sort-doubles): documented precondition — callers validate via ks::ValidateSample
-  std::sort(rs.begin(), rs.end());
+  SortFinite(&rs);
   // moche-lint: allow(sort-doubles): documented precondition — callers validate via ks::ValidateSample
-  std::sort(ts.begin(), ts.end());
+  SortFinite(&ts);
   size_t i = 0;
   size_t j = 0;
   while (i < rs.size() || j < ts.size()) {

@@ -12,10 +12,17 @@
 // NaN/empty-sample conventions (shared with the rest of the tree, see
 // docs/ARCHITECTURE.md): the Status-returning entry points reject empty
 // samples and non-finite values via ValidateSample (a NaN must never reach
-// std::sort — strict-weak-ordering UB); the Statistic* primitives assume
+// a sort — strict-weak-ordering UB); the Statistic* primitives assume
 // validated input and define the degenerate cases deterministically —
 // D = 1 when exactly one sample is empty (location: the smallest value of
 // the non-empty sample), D = 0 and location 0.0 when both are.
+//
+// Tie order: `location` is the first copy of the maximizing grid value in
+// sorted R, else in sorted T, so for a run of mixed-sign zeros its sign
+// depends on how the run is ordered. Every entry point here that sorts
+// uses SortFinite (util/sort.h): -0.0 before +0.0, whatever the input
+// order. Callers of the *Sorted primitives that want the same bits sort
+// with SortFinite too.
 
 #ifndef MOCHE_KS_KS_TEST_H_
 #define MOCHE_KS_KS_TEST_H_
@@ -108,9 +115,9 @@ double StatisticAnchored(const std::vector<double>& r_sorted,
                          const std::vector<double>& t_sorted,
                          double* location = nullptr);
 
-/// D(R,T) for samples in arbitrary order (sorts copies). Returns NaN (and
-/// location 0.0) if either sample contains NaN — a NaN observation has no
-/// rank, and handing it to std::sort would be UB, not a statistic.
+/// D(R,T) for samples in arbitrary order (sorts copies with SortFinite).
+/// Returns NaN (and location 0.0) if either sample contains NaN — a NaN
+/// observation has no rank, and sorting it would be UB, not a statistic.
 double Statistic(std::vector<double> r, std::vector<double> t,
                  double* location = nullptr);
 

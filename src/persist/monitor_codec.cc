@@ -14,6 +14,7 @@
 #include "util/binary_io.h"
 #include "util/mutex.h"
 #include "util/simd.h"
+#include "util/sort.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -451,7 +452,7 @@ Status MonitorCodec::ParseShard(const std::string& bytes, uint32_t shard_index,
         st.window = static_cast<size_t>(window);
         st.sorted = st.ring;
         // moche-lint: allow(sort-doubles): all_finite screened the ring
-        std::sort(st.sorted.begin(), st.sorted.end());
+        SortFinite(&st.sorted);
         st.sketched = ref.sketched;
       } else {
         MOCHE_ASSIGN_OR_RETURN(

@@ -6,6 +6,7 @@
 
 #include "ks/ks_test.h"
 #include "util/simd.h"
+#include "util/sort.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -167,13 +168,14 @@ DriftEvent DriftMonitor::Explain(size_t worker, size_t i,
 KsOutcome DriftMonitor::ExactWindowOutcome(const Stream& s,
                                            std::vector<double>* window) {
   // Sorted from window order, not read off s.sorted: its ±0.0 twins sit in
-  // arrival order on a live stream but in std::sort order after a restore,
-  // so only this sort gives both the same `location` bits. PushBatch's
-  // all_finite screens every live observation, and monitor_codec.cc's
-  // restore-time ring check every restored one.
+  // arrival order on a live stream but in SortFinite's order after a
+  // restore, so only this sort gives both the same `location` bits, the
+  // ones ks::Run gives. PushBatch's all_finite screens every live
+  // observation, and monitor_codec.cc's restore-time ring check every
+  // restored one.
   s.WindowContentsInto(window);
   // moche-lint: allow(sort-doubles): ring values are screened finite (above)
-  std::sort(window->begin(), window->end());
+  SortFinite(window);
   return ks::internal::RunSortedUnchecked(s.prepared->sorted_reference(),
                                           *window, s.prepared->alpha());
 }

@@ -276,9 +276,11 @@ class DriftMonitor {
     size_t ring_head = 0;
     /// kSketched: the ring's values in ascending order, kept so by Push
     /// (the triage input). Derived state: snapshots omit it and restore
-    /// rebuilds it from the ring. Values equal under == (e.g. -0.0 and
-    /// +0.0) may trade places with their twins in the ring, which no
-    /// comparison-based statistic can see.
+    /// rebuilds it from the ring with SortFinite. Its ±0.0 twins sit in
+    /// arrival order on a live stream but -0.0 first after a restore,
+    /// which no comparison-based statistic can see; anything whose bits
+    /// matter (an outcome's `location`) sorts a window-order copy with
+    /// SortFinite instead.
     std::vector<double> sorted;
     size_t window = 0;              // ring capacity (0 in kExact mode)
     uint64_t ticks = 0;             // observations pushed so far
@@ -347,9 +349,9 @@ class DriftMonitor {
   WorkerScratch& ScratchFor(size_t worker);
 
   /// Exact KS outcome for stream `s`'s current window against its
-  /// interned PreparedReference, bit-identical to ks::RunSorted on the
-  /// sorted reference and the sorted window: sorts a window-order copy in
-  /// *window (allocation-free once its capacity is warm).
+  /// interned PreparedReference, bit-identical to ks::Run on the reference
+  /// and the window, tie order included: SortFinite-sorts a window-order
+  /// copy in *window (allocation-free once its capacity is warm).
   static KsOutcome ExactWindowOutcome(const Stream& s,
                                       std::vector<double>* window);
 

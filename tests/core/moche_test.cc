@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "ks/ks_test.h"
+#include "testing_util.h"
 #include "util/rng.h"
 
 namespace moche {
@@ -158,19 +159,20 @@ bool SameBits(double a, double b) {
 }
 
 // report.after recomputed the slow way: T \ I from an index mask, sorted
-// with std::sort, tested with ks::StatisticSorted.
+// into the canonical order (-0.0 before +0.0) by a comparator of the
+// test's own, tested with ks::StatisticSorted.
 void ExpectAfterMatchesMaskAndSort(const std::vector<double>& reference,
                                    const std::vector<double>& test,
                                    double alpha, const MocheReport& report) {
   std::vector<double> r = reference;
-  std::sort(r.begin(), r.end());
+  testing_util::SortCanonical(&r);
   std::vector<unsigned char> removed(test.size(), 0);
   for (size_t idx : report.explanation.indices) removed[idx] = 1;
   std::vector<double> remaining;
   for (size_t i = 0; i < test.size(); ++i) {
     if (!removed[i]) remaining.push_back(test[i]);
   }
-  std::sort(remaining.begin(), remaining.end());
+  testing_util::SortCanonical(&remaining);
   double location = 0.0;
   const double statistic = ks::StatisticSorted(r, remaining, &location);
   auto threshold = ks::Threshold(alpha, r.size(), remaining.size());
@@ -197,7 +199,7 @@ bool HasBothSignedZeros(const std::vector<double>& v) {
 }
 
 // The re-check builds T \ I by merging the explained values out of the
-// sorted window, except when the window holds both signed zeros. Either way
+// sorted window by bit key, also when the window holds both signed zeros.
 // report.after must equal the mask-and-sort oracle bit for bit, through both
 // workspace entry points sharing one recycled workspace.
 TEST(MocheTest, AfterOutcomeMatchesMaskAndSortBitForBit) {

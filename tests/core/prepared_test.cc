@@ -2,13 +2,16 @@
 // once, ExplainPreparedInto reuses it per test window. Its contract is that
 // reports are bit-identical to the one-shot Explain on the same inputs.
 
+#include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/moche.h"
 #include "sketch/sketched_reference.h"
+#include "util/binary_io.h"
 #include "util/rng.h"
 
 namespace moche {
@@ -169,6 +172,34 @@ TEST(PreparedReferenceTest, AlreadyPassingAndValidationErrors) {
   EXPECT_TRUE(ExplainPreparedFresh(engine, *prepared, {}, {})
                   .status()
                   .IsInvalidArgument());
+}
+
+// Prepare sorts -0.0 before +0.0, whatever the input order; a snapshot
+// written by an older std::sort may hold its zero run in any order, and a
+// restore rewrites that run to what Prepare would have written.
+TEST(PreparedReferenceTest, ZeroRunIsCanonicalAfterPrepareAndRestore) {
+  const auto negative_zeros_first = [](const std::vector<double>& v) {
+    const std::vector<double> want = {-2.0, -0.0, -0.0, 0.0, 0.0, 3.0};
+    if (v.size() != want.size()) return false;
+    for (size_t i = 0; i < v.size(); ++i) {
+      if (v[i] != want[i] || std::signbit(v[i]) != std::signbit(want[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const Moche engine;
+  auto prepared = engine.Prepare({0.0, 3.0, -0.0, 0.0, -2.0, -0.0}, 0.05);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_TRUE(negative_zeros_first(prepared->sorted_reference()));
+
+  std::string bytes;
+  bin::AppendDoubleLe(0.05, &bytes);
+  bin::AppendDoubleArray({-2.0, 0.0, -0.0, 0.0, -0.0, 3.0}, &bytes);
+  bin::Reader reader(bytes);
+  auto restored = PreparedReference::DeserializeFrom(&reader);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(negative_zeros_first(restored->sorted_reference()));
 }
 
 TEST(CumulativeFrameTest, BuildRejectsNonFiniteBeforeSorting) {

@@ -12,6 +12,7 @@
 #include "sketch/sketched_reference.h"
 #include "timeseries/generators.h"
 #include "util/rng.h"
+#include "util/sort.h"
 
 namespace moche {
 namespace stream {
@@ -350,11 +351,12 @@ TEST(DriftMonitorTest, EventsMatchFromScratchOracle) {
 TEST(DriftMonitorTest, SketchedEventLocationKeepsTheSortedWindowsZero) {
   // A zero-free reference and a window of -3.0s and mixed-sign zeros: D
   // peaks at 0, so the location is the first zero of the sorted window.
-  // std::sort of the window in window order puts a -0.0 first, while the
+  // SortFinite puts every -0.0 first whatever the input order, while the
   // stream's incrementally sorted copy keeps its zeros in arrival order
-  // (+0.0 first), and a restore rebuilds that copy with std::sort. The
-  // exact outcome must come from the window-order sort so that a live and
-  // a restored monitor report the same bits.
+  // (+0.0 first), and a restore rebuilds that copy with SortFinite. The
+  // exact outcome must come from SortFinite of the window so that a live
+  // and a restored monitor report the same bits, and the bits ks::Run
+  // reports.
   const size_t window = 40;
   ts::DriftScenario sc;
   sc.name = "signed_zeros";
@@ -368,7 +370,7 @@ TEST(DriftMonitorTest, SketchedEventLocationKeepsTheSortedWindowsZero) {
     sc.observations.push_back(i % 3 == 0 ? -3.0 : zero);
   }
   std::vector<double> sorted = sc.observations;
-  std::sort(sorted.begin(), sorted.end());
+  SortFinite(&sorted);
   std::vector<double> arrival = sc.observations;
   std::stable_sort(arrival.begin(), arrival.end());
   const auto first_zero = [](const std::vector<double>& v) {
@@ -386,6 +388,70 @@ TEST(DriftMonitorTest, SketchedEventLocationKeepsTheSortedWindowsZero) {
   ASSERT_EQ(f.monitor.events().size(), 1u);
   EXPECT_EQ(f.monitor.events().front().outcome.location, 0.0);
   ExpectEventsMatchOracle(f, {window});
+}
+
+// A KS location read off a run of mixed-sign zeros must not depend on the
+// order in which the multiset arrived. Every shuffle of one window of
+// -3.0s and mixed-sign zeros against a zero-free reference gives the same
+// location bits, -0.0 (the window's first zero in SortFinite's order), from
+// ks::Run, Moche::Explain, ExplainPreparedInto and the events of an exact
+// and a sketched monitor.
+TEST(DriftMonitorTest, ZeroLocationDoesNotDependOnArrivalOrder) {
+  const size_t window = 40;
+  Rng rng(kSeed + 1);
+  std::vector<double> reference;
+  for (int i = 0; i < 200; ++i) {
+    reference.push_back(i % 2 == 0 ? -rng.Uniform(1.0, 2.0)
+                                   : rng.Uniform(1.0, 2.0));
+  }
+  std::vector<double> observations;
+  for (size_t i = 0; i < window; ++i) {
+    observations.push_back(i % 3 == 0 ? -3.0 : (i % 2 == 0 ? 0.0 : -0.0));
+  }
+  const double alpha = MonitorOptions{}.alpha;
+  const Moche engine;
+  auto prepared = engine.Prepare(reference, alpha);
+  ASSERT_TRUE(prepared.ok());
+  const PreferenceList pref = IdentityPreference(window);
+  ExplainWorkspace workspace;
+  MocheReport prepared_report;
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(testing::Message() << "shuffle " << round);
+    rng.Shuffle(&observations);
+    std::vector<double> locations;
+    const Result<KsOutcome> run = ks::Run(reference, observations, alpha);
+    ASSERT_TRUE(run.ok());
+    locations.push_back(run->location);
+    const Result<MocheReport> report =
+        engine.Explain(reference, observations, alpha, pref);
+    ASSERT_TRUE(report.ok());
+    locations.push_back(report->original.location);
+    ASSERT_TRUE(engine
+                    .ExplainPreparedInto(*prepared, observations, pref,
+                                         &workspace, &prepared_report)
+                    .ok());
+    locations.push_back(prepared_report.original.location);
+    for (const ReferenceMode mode :
+         {ReferenceMode::kExact, ReferenceMode::kSketched}) {
+      auto monitor = DriftMonitor::Create(WithMode(MonitorOptions{}, mode));
+      ASSERT_TRUE(monitor.ok());
+      ASSERT_TRUE(monitor->AddStream("zeros", reference, window).ok());
+      ASSERT_TRUE(monitor->PushBatch({observations}).ok());
+      ASSERT_EQ(monitor->events().size(), 1u) << ModeName(mode);
+      const DriftEvent& event = monitor->events().front();
+      ASSERT_TRUE(event.explain_status.ok()) << ModeName(mode);
+      locations.push_back(event.report.original.location);
+      // The exact detector reports no location; a sketched event carries
+      // the exact outcome of its window.
+      if (mode == ReferenceMode::kSketched) {
+        locations.push_back(event.outcome.location);
+      }
+    }
+    for (size_t i = 0; i < locations.size(); ++i) {
+      EXPECT_TRUE(locations[i] == 0.0 && std::signbit(locations[i]))
+          << "location " << i << " is " << locations[i];
+    }
+  }
 }
 
 TEST(SketchedMonitorTest, CreateValidatesSketchK) {

@@ -1,6 +1,7 @@
 // The zero-allocation contract of the explain pipeline:
 //  * a warmed-up Moche::ExplainPreparedInto call performs no heap
-//    allocation when the caller recycles its workspace and report;
+//    allocation when the caller recycles its workspace and report, nor
+//    does ExplainInto when R and T are long enough to be radix-sorted;
 //  * a warmed-up Moche::EvaluateBatchSketched call performs none when the
 //    caller recycles its workspace and output vector;
 //  * a warmed-up sequential DriftMonitor::PushBatch that fires no drift
@@ -23,6 +24,7 @@
 #include "stream/drift_monitor.h"
 #include "testing_alloc.h"
 #include "util/rng.h"
+#include "util/sort.h"
 
 namespace moche {
 namespace {
@@ -54,8 +56,8 @@ TEST(WorkspaceAllocTest, WarmExplainPreparedIntoAllocatesNothing) {
     windows.push_back(NormalSample(&rng, kWindowSize, 1.2, 1.1));
     prefs.push_back(RandomPreference(kWindowSize, &rng));
   }
-  // One window holds both signed zeros, so its re-check builds T \ I by
-  // index mask and sort instead of by merge; that path must be warm too.
+  // One window holds both signed zeros, so its re-check merges zeros out
+  // of T by sign.
   windows.back()[0] = -0.0;
   windows.back()[1] = 0.0;
 
@@ -84,6 +86,49 @@ TEST(WorkspaceAllocTest, WarmExplainPreparedIntoAllocatesNothing) {
   EXPECT_EQ(failures, 0u);
   EXPECT_EQ(allocations, 0u)
       << "warmed-up ExplainPreparedInto must be allocation-free";
+}
+
+// Samples of kRadixSortMinSize or more take SortFinite's radix path through
+// the workspace's scratch buffer: ExplainInto sorts R and T that way and
+// ExplainPreparedInto sorts T, and warm calls of either allocate nothing.
+TEST(WorkspaceAllocTest, WarmRadixSortedExplainAllocatesNothing) {
+  Rng rng(5120);
+  const std::vector<double> reference = NormalSample(&rng, 3000, 0.0, 1.0);
+  const Moche engine;
+  auto prepared = engine.Prepare(reference, 0.05);
+  ASSERT_TRUE(prepared.ok());
+  constexpr size_t kWindows = 3;
+  constexpr size_t kWindowSize = 2 * kRadixSortMinSize;
+  std::vector<std::vector<double>> windows;
+  std::vector<PreferenceList> prefs;
+  for (size_t w = 0; w < kWindows; ++w) {
+    windows.push_back(NormalSample(&rng, kWindowSize, 0.3, 1.1));
+    prefs.push_back(RandomPreference(kWindowSize, &rng));
+  }
+  ExplainWorkspace workspace;
+  MocheReport report;
+  const auto explain_all = [&] {
+    size_t failures = 0;
+    for (size_t w = 0; w < kWindows; ++w) {
+      failures += !engine
+                       .ExplainInto(reference, windows[w], 0.05, prefs[w],
+                                    &workspace, &report)
+                       .ok();
+      failures += !engine
+                       .ExplainPreparedInto(*prepared, windows[w], prefs[w],
+                                            &workspace, &report)
+                       .ok();
+    }
+    return failures;
+  };
+  ASSERT_EQ(explain_all(), 0u) << "warm-up pass must explain every window";
+
+  AllocationProbe probe;
+  const size_t failures = explain_all();
+  const size_t allocations = probe.Delta();
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(allocations, 0u)
+      << "warmed-up radix-sorted explanations must be allocation-free";
 }
 
 TEST(WorkspaceAllocTest, WarmEvaluateBatchSketchedAllocatesNothing) {
@@ -271,7 +316,7 @@ TEST(WorkspaceAllocTest, WorkspacePoolStatsReportCreationAndFootprint) {
 
 // Explaining a window of m points against a prepared reference of n keeps
 // O(m) bytes in the workspace (the anchored frame, its engine and checker,
-// the sorted window and T \ I), whatever n is. 512 bytes per window value
+// the sorted window, the sort scratch and T \ I), whatever n is. 512 bytes per window value
 // is about twice what the buffers take; any O(n) buffer against the 2^16
 // reference below would need 8 bytes per reference value, 2.5x the bound.
 constexpr size_t kFootprintWindow = 200;

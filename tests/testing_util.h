@@ -8,6 +8,7 @@
 #ifndef MOCHE_TESTS_TESTING_UTIL_H_
 #define MOCHE_TESTS_TESTING_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -60,6 +61,15 @@ inline int64_t PortableInteger(std::mt19937_64& engine, int64_t lo,
                                int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(engine() % span);
+}
+
+/// Sorts finite doubles into SortFinite's order (ascending, -0.0 before
+/// +0.0) with a comparator of its own, so an oracle that sorts this way
+/// shares nothing with the library's sort.
+inline void SortCanonical(std::vector<double>* v) {
+  std::sort(v->begin(), v->end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
 }
 
 /// Element-wise comparison of two double vectors with an explicit tolerance.
